@@ -4,8 +4,9 @@ Sample functions of stationary, third-order stationary vector processes are
 generated as finite cosine series whose amplitudes come from a prescribed
 cross power spectral density and cross-bispectral density.  A multi-indexed
 frequency discretization makes every record periodic, with single-record
-time averages over that period matching the discrete ensemble targets; an
-offset-channel FFT path produces identical records at much lower cost.
+time averages over that period matching the discrete ensemble targets.  One
+compiled :class:`Synthesizer` per run produces every record through the
+offset-channel FFT; direct cosine summation is kept as its oracle.
 """
 
 from .decomposition import (
@@ -35,8 +36,6 @@ from .estimators import (
     MomentRow,
     NonErgodicRecordWarning,
     build_terms,
-    discrete_target_second,
-    discrete_target_third,
     ensemble_moments,
     standard_moment_labels,
     temporal_cross_correlation,
@@ -45,6 +44,7 @@ from .estimators import (
 )
 from .fft import (
     OffsetChannelCoefficients,
+    Synthesizer,
     assemble_coefficients,
     simulate_3rd_order_mv_fft,
     synthesize_fft,

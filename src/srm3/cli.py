@@ -18,8 +18,14 @@ import argparse
 import os
 import sys
 
-from .config import RunConfig, parse_config
-from .errors import ConfigError, InfeasibleBispectrumError, Srm3Error
+from .config import RunConfig, parse_config, range_problems
+from .errors import (
+    ConfigError,
+    InfeasibleBispectrumError,
+    SampleCorruptionError,
+    SampleFormatError,
+    Srm3Error,
+)
 from .simulate import Method
 from .workbench import (
     run_bench,
@@ -47,14 +53,15 @@ def _load_config(args) -> RunConfig:
     config = parse_config(text, base_dir=os.path.dirname(args.config) or ".")
     # command-line overrides
     updates = {}
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        updates["seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        if args.realizations < 0:
-            raise ConfigError("--realizations must be >= 0")
-        updates["realizations"] = args.realizations
+    seed = getattr(args, "seed", None)
+    realizations = getattr(args, "realizations", None)
+    problems = range_problems(seed=seed, realizations=realizations, prefix="--")
+    if problems:
+        raise ConfigError(problems)
+    if seed is not None:
+        updates["seed"] = seed
+    if realizations is not None:
+        updates["realizations"] = realizations
     if getattr(args, "method", None) is not None:
         method = _METHODS[args.method]
         if method is Method.THIRD_ORDER_UV and config.grid.m != 1:
@@ -71,30 +78,37 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args)
+def _run(config: RunConfig, job):
+    """``(report, exit code)`` of a job; a domain error leaves ``error.json``."""
     try:
-        report = run_simulation(config, write_plot_data=args.plot_data)
+        return job(), EXIT_OK
     except Srm3Error as exc:
         write_error_record(config.out_dir, exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleBispectrumError) else EXIT_IO
+        if isinstance(exc, InfeasibleBispectrumError):
+            return None, EXIT_INFEASIBLE
+        if isinstance(exc, (SampleFormatError, SampleCorruptionError)):
+            return None, EXIT_IO
+        return None, EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(report)
-    return EXIT_OK
+        return None, EXIT_IO
+
+
+def _cmd_simulate(args) -> int:
+    config = _load_config(args)
+    report, code = _run(config, lambda: run_simulation(config, write_plot_data=args.plot_data))
+    if report is not None:
+        print(report)
+    return code
 
 
 def _cmd_verify(args) -> int:
     config = _load_config(args)
     seeds = list(range(config.seed, config.seed + args.seeds))
-    try:
-        report = verify_ergodic_identities(config, seeds)
-    except Srm3Error as exc:
-        write_error_record(config.out_dir, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleBispectrumError) else EXIT_IO
+    report, code = _run(config, lambda: verify_ergodic_identities(config, seeds))
+    if report is None:
+        return code
     print(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -116,7 +130,8 @@ def _cmd_bench(args) -> int:
     result = run_bench(N=args.size, m=args.variates)
     print(
         f"N={result.N} m={result.m} samples={result.n_samples}:"
-        f" direct {result.direct_seconds:.3f}s,"
+        f" compile {result.compile_seconds:.3f}s once,"
+        f" per record: direct {result.direct_seconds:.3f}s,"
         f" fft {result.fft_seconds:.3f}s,"
         f" speedup {result.speedup:.1f}x,"
         f" max |direct - fft| / rms = {result.max_mismatch_over_rms:.2e}"

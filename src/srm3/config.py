@@ -22,13 +22,15 @@ The grid takes either ``omega_u`` (cutoff, bin width derived as
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
+from .estimators import DEFAULT_ENSEMBLE_TOLERANCES
 from .grids import FrequencyGrid, OffsetRule
 from .io import read_bispectrum_csv, read_spectrum_csv
-from .simulate import Method
+from .simulate import Method, SamplingPlan
 from .spectra import (
     CrossBispectrum,
     CrossSpectrum,
@@ -42,6 +44,11 @@ SCHEMA_VERSION = 1
 
 _METHODS = {m.value: m for m in Method}
 _RULES = {r.value: r for r in OffsetRule}
+
+#: Seeds key a 64-bit generator; the sample header stores the realization
+#: index as ``uint32``, so indices 0 .. 2**32 - 1 can be written.
+MAX_SEED = 2**64 - 1
+MAX_REALIZATIONS = 2**32
 
 _DEFAULT_RULES = {
     Method.SECOND_ORDER: OffsetRule.SECOND_ORDER_CLASSIC,
@@ -182,10 +189,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         top.problems.append("grid needs delta_omega or omega_u")
     if delta_omega is not None and omega_u is not None:
         top.problems.append("grid.delta_omega and grid.omega_u are exclusive")
-    if seed is not None and seed < 0:
-        top.problems.append("seed must be >= 0")
-    if realizations is not None and realizations < 0:
-        top.problems.append("realizations must be >= 0")
+    top.problems += range_problems(seed=seed, realizations=realizations)
+    top.problems += _tolerance_problems(tolerances or {})
     if out_format not in ("bin", "csv"):
         top.problems.append(f"output.format must be 'bin' or 'csv', got {out_format!r}")
     if target_kind is not None and target_kind not in ("wind-example", "tabulated"):
@@ -215,8 +220,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         rule = _DEFAULT_RULES[method]
     try:
         grid = FrequencyGrid(m, N, delta_omega, rule)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
+        SamplingPlan.for_grid(grid, m_f, blocks)
+    except (InvalidParameterError, OverflowError) as exc:
+        raise ConfigError(f"grid: {exc}") from None
 
     # fail-fast target loading and validation
     if target_kind == "wind-example":
@@ -261,3 +267,33 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         out_format=out_format,
         tolerances=tolerances,
     )
+
+
+def range_problems(seed=None, realizations=None, prefix: str = "") -> list[str]:
+    """Problems with a seed or an ensemble size outside what a run can store."""
+    problems = []
+    if seed is not None and not 0 <= seed <= MAX_SEED:
+        problems.append(f"{prefix}seed must be in [0, 2**64), got {seed}")
+    if realizations is not None and not 0 <= realizations <= MAX_REALIZATIONS:
+        problems.append(f"{prefix}realizations must be in [0, 2**32], got {realizations}")
+    return problems
+
+
+def _tolerance_problems(tolerances: dict) -> list[str]:
+    problems = []
+    for key, value in tolerances.items():
+        if key not in DEFAULT_ENSEMBLE_TOLERANCES:
+            problems.append(
+                f"unknown field 'tolerances.{key}'"
+                f" (expected one of {list(DEFAULT_ENSEMBLE_TOLERANCES)})"
+            )
+        elif (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            problems.append(
+                f"field 'tolerances.{key}' must be a finite number >= 0, got {value!r}"
+            )
+    return problems

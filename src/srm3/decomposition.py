@@ -67,18 +67,18 @@ class InverseFactor:
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector so its first non-negligible entry is real > 0."""
-    vecs = vecs.copy()
-    m = vecs.shape[0]
+    """Rotate each eigenvector so its first non-negligible entry is real > 0.
+
+    ``vecs`` is a stack ``(..., m, m)`` of eigenvector matrices (columns).
+    """
     mags = np.abs(vecs)
-    lead = np.argmax(mags > 1e-12 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
-    for c in range(vecs.shape[1]):
-        pivot = vecs[lead[c], c]
-        if pivot != 0:
-            vecs[:, c] *= np.conj(pivot) / abs(pivot)
+    floor = 1e-12 * np.maximum(mags.max(axis=-2, keepdims=True), 1e-300)
+    lead = np.argmax(mags > floor, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, lead, axis=-2)
+    size = np.abs(pivot)
+    vecs = vecs * np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
     # force exactly-real pivots despite rounding
-    for c in range(vecs.shape[1]):
-        vecs[lead[c], c] = vecs[lead[c], c].real
+    np.put_along_axis(vecs, lead, np.take_along_axis(vecs, lead, axis=-2).real, axis=-2)
     return vecs
 
 
@@ -108,20 +108,31 @@ def _order_ties(eigvals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
     return eigvals[order], vecs[:, order]
 
 
-def _factor_one(sym: np.ndarray, trace: float, k: int) -> np.ndarray:
+def _factor_stack(sym: np.ndarray, traces: np.ndarray, bins) -> np.ndarray:
+    """Factors of a stack ``(n, m, m)`` of Hermitian bins, one batched ``eigh``.
+
+    ``bins`` names the stacked bins in errors.
+    """
     eigvals, vecs = np.linalg.eigh(sym)
-    floor = -PSD_TOLERANCE * max(trace, ZERO_TRACE)
-    if eigvals[0] < floor:
+    floor = -PSD_TOLERANCE * np.maximum(traces, ZERO_TRACE)
+    bad = np.nonzero(eigvals[:, 0] < floor)[0]
+    if bad.size:
+        i = bad[0]
         raise NotPositiveSemidefiniteError(
-            f"matrix at bin {k} is not PSD: eigenvalue {eigvals[0]:.6e}"
-            f" below tolerance {floor:.3e}",
-            bin_index=k,
-            eigenvalue=float(eigvals[0]),
+            f"matrix at bin {bins[i]} is not PSD: eigenvalue {eigvals[i, 0]:.6e}"
+            f" below tolerance {floor[i]:.3e}",
+            bin_index=int(bins[i]),
+            eigenvalue=float(eigvals[i, 0]),
         )
     eigvals = np.maximum(eigvals, 0.0)  # clip roundoff negatives
     vecs = _normalize_columns(vecs)
-    eigvals, vecs = _order_ties(eigvals, vecs)
-    return vecs * np.sqrt(eigvals)[None, :]
+    for i in np.nonzero(np.any(eigvals[:, 1:] == eigvals[:, :-1], axis=1))[0]:
+        eigvals[i], vecs[i] = _order_ties(eigvals[i], vecs[i])
+    return vecs * np.sqrt(eigvals)[:, None, :]
+
+
+def _factor_one(sym: np.ndarray, trace: float, k: int) -> np.ndarray:
+    return _factor_stack(sym[None], np.array([trace]), [k])[0]
 
 
 def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
@@ -150,40 +161,49 @@ def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
     traces = np.trace(sym, axis1=1, axis2=2).real
     H = np.zeros((N, m, m), dtype=np.complex128)
     zero_bins = traces < ZERO_TRACE
-    for k in range(N):
-        if zero_bins[k]:
-            continue
-        H[k] = _factor_one(sym[k], traces[k], k)
+    live = np.nonzero(~zero_bins)[0]
+    if live.size:
+        H[live] = _factor_stack(sym[live], traces[live], live)
     H.setflags(write=False)
     zero_bins.setflags(write=False)
     return SpectralFactor(spectrum.grid, H, zero_bins)
 
 
-def invert_factor(factor: SpectralFactor) -> InverseFactor:
+def invert_factor(factor: SpectralFactor, required: np.ndarray | None = None) -> InverseFactor:
     """Invert ``H`` per bin; empty bins stay zero and are never inverted.
+
+    With ``required`` (a bool per bin), a singular bin outside it keeps
+    ``G = 0`` instead of raising.
 
     Raises
     ------
     SingularFactorError
-        If a non-empty bin has condition number beyond ``1/SINGULAR_TOLERANCE``
-        (smallest singular value below ``SINGULAR_TOLERANCE`` times largest).
+        If a non-empty (required) bin has condition number beyond
+        ``1/SINGULAR_TOLERANCE`` (smallest singular value below
+        ``SINGULAR_TOLERANCE`` times largest).
     """
-    N, m, _ = factor.H.shape
     G = np.zeros_like(factor.H)
-    for k in range(N):
-        if factor.zero_bins[k]:
-            continue
-        Hk = factor.H[k]
-        svals = np.linalg.svd(Hk, compute_uv=False)
-        if svals[-1] <= SINGULAR_TOLERANCE * svals[0]:
+    for k in np.nonzero(~factor.zero_bins)[0]:
+        inverse = _inverse(factor.H[k])
+        if inverse is not None:
+            G[k] = inverse
+        elif required is None or required[k]:
+            svals = np.linalg.svd(factor.H[k], compute_uv=False)
             raise SingularFactorError(
                 f"spectral factor is singular at bin {k}"
                 f" (singular values {svals[0]:.3e} .. {svals[-1]:.3e})",
-                bin_index=k,
+                bin_index=int(k),
             )
-        G[k] = np.linalg.inv(Hk)
     G.setflags(write=False)
     return InverseFactor(factor.grid, G, factor.zero_bins)
+
+
+def _inverse(Hk: np.ndarray) -> np.ndarray | None:
+    """``Hk^-1``, or ``None`` if ``Hk`` is singular to ``SINGULAR_TOLERANCE``."""
+    svals = np.linalg.svd(Hk, compute_uv=False)
+    if svals[-1] <= SINGULAR_TOLERANCE * svals[0]:
+        return None
+    return np.linalg.inv(Hk)
 
 
 def biphase(bispectrum, a: int, l: int, n: int, i: int, j: int) -> float:

@@ -36,7 +36,11 @@ class NonErgodicRecordWarning(UserWarning):
 def build_terms(
     S: CrossSpectrum, B: CrossBispectrum | None = None, method: Method = Method.THIRD_ORDER_MV
 ) -> TermSet:
-    """Term set of the given synthesis method for target computations."""
+    """Term set of a synthesis method, after the split that fits it.
+
+    The factor alone for second order, the scalar split for ``third-uv``, the
+    tensor split for ``third-mv`` and ``third-mv-fft`` (which share terms).
+    """
     if method is Method.SECOND_ORDER:
         return build_second_order_terms(S)
     if B is None:
@@ -91,18 +95,6 @@ def temporal_third_moment(
     fb = np.roll(record.values[b], -lag1)
     fc = np.roll(record.values[c], -lag2)
     return float(np.mean(fa * fb * fc))
-
-
-def discrete_target_second(terms: TermSet, a: int, b: int, tau: float) -> float:
-    """Exact discrete ``E[f_a(t) f_b(t + tau)]`` of the synthesis term set."""
-    return terms.target_second(a, b, tau)
-
-
-def discrete_target_third(
-    terms: TermSet, a: int, b: int, c: int, tau1: float, tau2: float
-) -> float:
-    """Exact discrete ``E[f_a(t) f_b(t+tau1) f_c(t+tau2)]`` of the term set."""
-    return terms.target_third(a, b, c, tau1, tau2)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,23 @@
-"""FFT-accelerated synthesis, exactly equivalent to the direct cosine sum.
+"""Compiled offset-channel FFT synthesis, exactly equivalent to the direct sum.
 
 Every oscillator frequency is ``(integer + fraction) * delta_omega`` where
 the fraction comes from the channel offsets.  Terms sharing one fractional
 offset form an *offset channel*: their integer parts index a complex
 coefficient array of length ``m_f``, one inverse FFT per channel evaluates
-the integer-frequency part at all samples of a base block, and a per-sample
-complex rotation restores the fractional offset.  Because the rotation is
-continued across blocks (the FFT output is block-periodic, the rotation is
-not), the concatenated blocks reproduce the direct sum at every sample to
-rounding error, at cost ``O(blocks * m_f log m_f)`` per channel instead of
+the integer-frequency part at all samples of a base block, and a complex
+rotation restores the fractional offset.  Because the rotation is continued
+across blocks (the FFT output is block-periodic, the rotation is not), the
+concatenated blocks reproduce the direct sum at every sample to rounding
+error, at cost ``O(blocks * m_f log m_f)`` per channel instead of
 ``O(n_terms * n_samples)``.
+
+:class:`Synthesizer` does everything that depends only on the targets and
+the sampling plan once per run: the pure/interaction split, the term set,
+each term's flat scatter index into the ``(channel, m_f)`` coefficient
+array, and the rotation tables.  A realization then costs one phase
+rotation, one ``bincount`` per variate, one batched inverse FFT and the
+block expansion.  Every method -- second order, univariate and multivariate
+third order -- runs through it.
 
 With the default ``m_f = 2N`` the largest populated integer index is at most
 ``N`` (linear terms reach ``N - 1``; interaction pairs reach ``i + j <= N - 1``
@@ -25,13 +33,168 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CoefficientOverflowError
+from .estimators import build_terms
 from .grids import FrequencyGrid
-from .pure import compute_pure_multivariate
-from .simulate import Method, PhaseSet, SampleRecord, SamplingPlan, _check_grid
+from .simulate import (
+    Method,
+    PhaseSet,
+    SampleRecord,
+    SamplingPlan,
+    _check_grid,
+    _draw_one,
+    draw_phases,
+)
 from .spectra import CrossBispectrum, CrossSpectrum
-from .terms import TermSet, build_third_order_terms
+from .terms import TermSet
 
 TWO_PI = 2.0 * math.pi
+
+
+class OffsetChannels:
+    """Where every term of a term set lands in the offset-channel FFT.
+
+    ``offsets`` are the channels' exact fractional offsets, ascending.
+    ``scatter[t]`` is ``channel * m_f + integer index`` of term ``t``, linear
+    terms first, then interaction terms, in term-set order.  ``slot_u`` and
+    ``slot_v`` index the flattened ``(m, N)`` phase array: a term's phase is
+    ``phi[slot_u]``, plus ``phi[slot_v]`` for interaction terms.
+    """
+
+    def __init__(self, terms: TermSet, m_f: int):
+        grid = terms.grid
+        m, N = grid.m, grid.N
+        offs = grid.channel_offsets
+        # exact offset of each linear channel p and channel pair (p, q)
+        totals = [offs[p] for p in range(m)] + [
+            offs[p] + offs[q] for p in range(m) for q in range(m)
+        ]
+        carry = np.array([math.floor(t) for t in totals], dtype=np.intp)
+        fracs = [t - math.floor(t) for t in totals]
+        lin_src = terms.lin_chan
+        int_src = m + terms.int_p * m + terms.int_q
+        used = np.unique(np.concatenate([lin_src, int_src]))
+        self.offsets: tuple[Fraction, ...] = tuple(sorted({fracs[s] for s in used}))
+        channel = np.array(
+            [self.offsets.index(f) if f in self.offsets else -1 for f in fracs],
+            dtype=np.intp,
+        )
+        index = np.concatenate(
+            [
+                terms.lin_bin + carry[lin_src],
+                terms.int_i + terms.int_j + carry[int_src],
+            ]
+        )
+        if index.size and index.max() >= m_f:
+            raise CoefficientOverflowError(
+                f"harmonic index {int(index.max())} >= m_f = {m_f};"
+                " increase the FFT block length"
+            )
+        self.source = np.concatenate([lin_src, int_src])  # offset source per term
+        self.scatter = channel[self.source] * m_f + index
+        self.slot_u = np.concatenate(
+            [terms.lin_chan * N + terms.lin_bin, terms.int_p * N + terms.int_i]
+        )
+        self.slot_v = terms.int_q * N + terms.int_j
+        self.coef = np.concatenate([terms.lin_coef, terms.int_coef], axis=1)
+        self.m, self.m_f, self.n_linear = m, m_f, terms.n_linear
+
+    def deposit(self, phi: np.ndarray) -> np.ndarray:
+        """Phase-rotated coefficients of every channel, ``(n_ch, m, m_f)``."""
+        phi = phi.ravel()
+        angle = phi[self.slot_u]
+        angle[self.n_linear :] += phi[self.slot_v]
+        z = self.coef * np.exp(1j * angle)
+        n_ch, m_f = len(self.offsets), self.m_f
+        C = np.empty((n_ch, self.m, m_f), dtype=np.complex128)
+        for a in range(self.m):
+            for part, target in ((z[a].real, C.real), (z[a].imag, C.imag)):
+                counts = np.bincount(self.scatter, weights=part, minlength=n_ch * m_f)
+                target[:, a, :] = counts.reshape(n_ch, m_f)
+        return C
+
+
+def _rotations(offsets, m_f: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """In-block rotation ``(n_ch, m_f)`` and per-block phase ``(n_ch, blocks)``.
+
+    Sample ``r = b m_f + s`` of a channel with offset ``f`` turns by
+    ``exp(2 pi i f s / m_f) * exp(2 pi i f b)``; the block turn ``f b`` is
+    reduced modulo one in exact arithmetic, so long records lose no accuracy.
+    """
+    f = np.array([float(off) for off in offsets])
+    inner = np.exp((TWO_PI / m_f) * 1j * np.multiply.outer(f, np.arange(m_f)))
+    b = np.arange(blocks)
+    turns = [(off.numerator * b % off.denominator) / off.denominator for off in offsets]
+    outer = np.exp(TWO_PI * 1j * np.array(turns).reshape(len(offsets), blocks))
+    return inner, outer
+
+
+def _expand(C: np.ndarray, inner: np.ndarray, outer: np.ndarray, n_samples: int) -> np.ndarray:
+    """Inverse-FFT every channel and sum the block-continued channels.
+
+    Channels are added one at a time in ascending offset order into one
+    ``(m, blocks, m_f)`` buffer, with element-wise operations only, so the
+    bytes depend neither on thread count nor on what was synthesized before.
+    """
+    n_ch, m, m_f = C.shape
+    blocks = outer.shape[1]
+    base = np.fft.ifft(C, axis=-1, norm="forward")  # sum_k C_k e^{2 pi i k s / m_f}
+    out = np.zeros((m, blocks, m_f))
+    tmp = np.empty_like(out)
+    for c in range(n_ch):
+        w = base[c] * inner[c]
+        np.multiply(w.real[:, None, :], outer[c].real[None, :, None], out=tmp)
+        out += tmp
+        np.multiply(w.imag[:, None, :], outer[c].imag[None, :, None], out=tmp)
+        out -= tmp
+    return out.reshape(m, blocks * m_f)[:, :n_samples]
+
+
+class Synthesizer:
+    """A run's synthesis, compiled once; each realization is a cheap draw.
+
+    Construction runs the split that fits ``method`` (the factor alone for
+    second order, the scalar split for ``third-uv``, the tensor split
+    otherwise), builds the :class:`TermSet` and the offset-channel layout,
+    and raises :class:`CoefficientOverflowError` if ``plan.m_f`` is too
+    short.  :meth:`record` then synthesizes realization ``r`` of ``seed``;
+    its bytes depend only on ``(seed, r)``, not on which records came before.
+    """
+
+    def __init__(
+        self,
+        S: CrossSpectrum,
+        B: CrossBispectrum | None = None,
+        method: Method = Method.THIRD_ORDER_MV_FFT,
+        plan: SamplingPlan | None = None,
+    ):
+        self.grid: FrequencyGrid = S.grid
+        self.method = method
+        self.plan = plan or SamplingPlan.for_grid(S.grid)
+        self.terms = build_terms(S, B, method)
+        self.channels = OffsetChannels(self.terms, self.plan.m_f)
+        self._inner, self._outer = _rotations(
+            self.channels.offsets, self.plan.m_f, self.plan.blocks
+        )
+
+    def draw(self, phases: PhaseSet) -> SampleRecord:
+        """The record of one phase draw."""
+        _check_grid(self.grid, phases)
+        C = self.channels.deposit(phases.phi)
+        return SampleRecord(
+            _expand(C, self._inner, self._outer, self.plan.n_samples),
+            self.plan.delta_t,
+            self.method,
+            phases.seed,
+            phases.realization_index,
+        )
+
+    def record(self, seed: int, realization_index: int) -> SampleRecord:
+        return self.draw(draw_phases(seed, realization_index, self.grid))
+
+
+# ----------------------------------------------------------------------
+# per-channel views of the same layout
+# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -53,69 +216,27 @@ class OffsetChannelCoefficients:
 def assemble_coefficients(
     terms: TermSet, phases: PhaseSet, m_f: int
 ) -> list[OffsetChannelCoefficients]:
-    """Group every term of the direct sum into offset channels.
-
-    Each term contributes its phase-rotated complex coefficient at its
-    integer frequency index; offsets at or above one carry into the index.
+    """Group every term of the direct sum into offset channels, ascending.
 
     Raises
     ------
     CoefficientOverflowError
         If a term's integer index reaches ``m_f`` (block length too short).
     """
-    grid = terms.grid
+    layout = OffsetChannels(terms, m_f)
+    C = layout.deposit(phases.phi)
+    channel = layout.scatter // m_f
     m = terms.m
-    offsets = grid.channel_offsets
-    phi = phases.phi
-    channels: dict[Fraction, OffsetChannelCoefficients] = {}
-
-    def channel(offset: Fraction) -> OffsetChannelCoefficients:
-        if offset not in channels:
-            channels[offset] = OffsetChannelCoefficients(
-                offset, np.zeros((m, m_f), dtype=np.complex128)
-            )
-        return channels[offset]
-
-    def deposit(total_offset: Fraction, base_index, z, tag):
-        carry = math.floor(total_offset)
-        frac = total_offset - carry
-        idx = np.asarray(base_index) + carry
-        if np.any(idx >= m_f):
-            raise CoefficientOverflowError(
-                f"harmonic index {int(idx.max())} >= m_f = {m_f};"
-                " increase the FFT block length"
-            )
-        ch = channel(frac)
-        np.add.at(ch.C, (slice(None), idx), z)
-        ch.n_terms += idx.size if np.ndim(idx) else 1
-        if tag not in ch.provenance:
-            ch.provenance.append(tag)
-
-    lin_rot = np.exp(1j * phi[terms.lin_chan, terms.lin_bin])
-    for p in range(m):
-        sel = terms.lin_chan == p
-        if not np.any(sel):
-            continue
-        z = terms.lin_coef[:, sel] * lin_rot[None, sel]
-        deposit(offsets[p], terms.lin_bin[sel], z, ("linear", p))
-
-    if terms.n_interaction:
-        int_rot = np.exp(
-            1j * (phi[terms.int_p, terms.int_i] + phi[terms.int_q, terms.int_j])
-        )
-        pq = terms.int_p * m + terms.int_q
-        for code in np.unique(pq):
-            p, q = divmod(int(code), m)
-            sel = pq == code
-            z = terms.int_coef[:, sel] * int_rot[None, sel]
-            deposit(
-                offsets[p] + offsets[q],
-                terms.int_i[sel] + terms.int_j[sel],
-                z,
-                ("interaction", p, q),
-            )
-
-    return [channels[off] for off in sorted(channels)]
+    out = []
+    for c, offset in enumerate(layout.offsets):
+        sources = np.unique(layout.source[channel == c])
+        provenance = [
+            ("linear", int(s)) if s < m else ("interaction", *divmod(int(s) - m, m))
+            for s in sources
+        ]
+        n_terms = int(np.count_nonzero(channel == c))
+        out.append(OffsetChannelCoefficients(offset, C[c], provenance, n_terms))
+    return out
 
 
 def synthesize_fft(
@@ -128,19 +249,12 @@ def synthesize_fft(
     Channels are summed in ascending offset order so the result is
     reproducible bit-for-bit.
     """
-    m_f, blocks = plan.m_f, plan.blocks
-    n = plan.n_samples
-    r = np.arange(n)
-    out = None
-    for ch in sorted(channels, key=lambda c: c.offset):
-        block = m_f * np.fft.ifft(ch.C, axis=1)  # sum_k C_k e^{2 pi i k r / m_f}
-        tiled = np.tile(block, (1, blocks))[:, :n]
-        rotation = np.exp((TWO_PI * float(ch.offset) / m_f) * 1j * r)
-        contrib = (tiled * rotation[None, :]).real
-        out = contrib if out is None else out + contrib
-    if out is None:
-        out = np.zeros((grid.m, n))
-    return out
+    if not channels:
+        return np.zeros((grid.m, plan.n_samples))
+    channels = sorted(channels, key=lambda c: c.offset)
+    C = np.stack([ch.C for ch in channels])
+    inner, outer = _rotations([ch.offset for ch in channels], plan.m_f, plan.blocks)
+    return _expand(C, inner, outer, plan.n_samples)
 
 
 def simulate_3rd_order_mv_fft(
@@ -149,15 +263,5 @@ def simulate_3rd_order_mv_fft(
     phases: PhaseSet,
     plan: SamplingPlan | None = None,
 ) -> SampleRecord:
-    """m-variate third-order synthesis through the offset-channel FFT path.
-
-    Produces the same record as the direct path to rounding error, for any
-    targets, phases and plan.
-    """
-    plan = plan or SamplingPlan.for_grid(S.grid)
-    _check_grid(S.grid, phases)
-    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
-    values = synthesize_fft(assemble_coefficients(terms, phases, plan.m_f), S.grid, plan)
-    return SampleRecord(
-        values, plan.delta_t, Method.THIRD_ORDER_MV_FFT, phases.seed, phases.realization_index
-    )
+    """m-variate third-order synthesis through the offset-channel FFT path."""
+    return _draw_one(S, B, Method.THIRD_ORDER_MV_FFT, phases, plan)

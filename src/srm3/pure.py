@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import (
-    SINGULAR_TOLERANCE,
     InverseFactor,
     SpectralFactor,
     _factor_one,
+    _inverse,
     factor_spectrum,
     invert_factor,
 )
@@ -184,13 +184,11 @@ def _compute_pure(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
                 raise SingularPureSpectrumError(
                     f"pure spectrum is empty at source bin {b}", bin_index=b
                 )
-            Hb = _factor_bin(S_p[b], trace, b)
-            svals = np.linalg.svd(Hb, compute_uv=False)
-            if svals[-1] <= SINGULAR_TOLERANCE * svals[0]:
+            G[b] = _inverse(_factor_bin(S_p[b], trace, b))
+            if G[b] is None:
                 raise SingularPureSpectrumError(
                     f"pure spectrum is singular at source bin {b}", bin_index=b
                 )
-            G[b] = np.linalg.inv(Hb)
         return G[b]
 
     diag = np.arange(m)
@@ -250,28 +248,11 @@ def _factor_bin(mat: np.ndarray, trace: float, k: int) -> np.ndarray:
 
 
 def _invert_where_possible(factor: SpectralFactor, sources: np.ndarray) -> InverseFactor:
-    """Invert every bin that allows it; only source bins are allowed to fail."""
+    """Invert every bin that allows it; a singular source bin is an error."""
     try:
-        return invert_factor(factor)
-    except SingularFactorError:
-        pass
-    N = factor.H.shape[0]
-    G = np.zeros_like(factor.H)
-    for k in range(N):
-        if factor.zero_bins[k]:
-            if sources[k]:
-                raise SingularPureSpectrumError(
-                    f"pure spectrum is empty at source bin {k}", bin_index=k
-                )
-            continue
-        Hk = factor.H[k]
-        svals = np.linalg.svd(Hk, compute_uv=False)
-        if svals[-1] <= SINGULAR_TOLERANCE * svals[0]:
-            if sources[k]:
-                raise SingularPureSpectrumError(
-                    f"pure spectrum is singular at source bin {k}", bin_index=k
-                )
-            continue
-        G[k] = np.linalg.inv(Hk)
-    G.setflags(write=False)
-    return InverseFactor(factor.grid, G, factor.zero_bins)
+        return invert_factor(factor, required=sources)
+    except SingularFactorError as exc:
+        raise SingularPureSpectrumError(
+            f"pure spectrum is singular at source bin {exc.bin_index}",
+            bin_index=exc.bin_index,
+        ) from None

@@ -1,11 +1,13 @@
-"""Sample synthesis by direct cosine summation, and its reproducible phases.
+"""Phases, sampling plans, records, and the direct-summation oracle.
 
 Phases come from a counter-based generator keyed by ``(seed,
 realization_index)``, so any realization of any ensemble can be regenerated
 in isolation, in any order, on any machine, without consuming a shared
 stream.  Synthesis itself is a pure function of (targets, phases, sampling
-plan); summation uses numpy's pairwise reductions only, keeping records
-bit-identical across runs and thread counts.
+plan).  Every method runs through the compiled offset-channel FFT path
+(:class:`srm3.fft.Synthesizer`); the ``simulate_*`` functions here compile
+it for a single record.  :func:`synthesize_direct` evaluates the cosine sum
+term by term and is kept as the equivalence oracle of that path.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedConfigurationError
 from .grids import FrequencyGrid
-from .pure import compute_pure_multivariate, compute_pure_univariate
 from .spectra import CrossBispectrum, CrossSpectrum
-from .terms import TermSet, build_second_order_terms, build_third_order_terms
+from .terms import TermSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +166,11 @@ _CHUNK_ELEMENTS = 1 << 22  # complex workspace bound for the outer product
 
 
 def synthesize_direct(terms: TermSet, phases: PhaseSet, plan: SamplingPlan) -> np.ndarray:
-    """Evaluate the cosine sum at every sample, all variates at once."""
+    """Evaluate the cosine sum at every sample, all variates at once.
+
+    Cost ``O(n_terms * n_samples)``: the reference the FFT path is checked
+    against, not a production path.
+    """
     m = terms.m
     phi = phases.phi
 
@@ -191,9 +196,11 @@ def synthesize_direct(terms: TermSet, phases: PhaseSet, plan: SamplingPlan) -> n
     return out
 
 
-def _record(terms, phases, plan, method) -> SampleRecord:
-    values = synthesize_direct(terms, phases, plan)
-    return SampleRecord(values, plan.delta_t, method, phases.seed, phases.realization_index)
+def _draw_one(S, B, method: Method, phases: PhaseSet, plan: SamplingPlan | None) -> SampleRecord:
+    """Compile a synthesizer for one record and draw it."""
+    from .fft import Synthesizer  # the compiled path builds on this module
+
+    return Synthesizer(S, B, method, plan).draw(phases)
 
 
 def simulate_2nd_order_mv(
@@ -204,9 +211,7 @@ def simulate_2nd_order_mv(
     Conventionally run on a ``SECOND_ORDER_CLASSIC`` grid; any offset rule is
     accepted, which lets the degenerate third-order comparisons share a grid.
     """
-    plan = plan or SamplingPlan.for_grid(S.grid)
-    _check_grid(S.grid, phases)
-    return _record(build_second_order_terms(S), phases, plan, Method.SECOND_ORDER)
+    return _draw_one(S, None, Method.SECOND_ORDER, phases, plan)
 
 
 def simulate_3rd_order_uv(
@@ -215,13 +220,8 @@ def simulate_3rd_order_uv(
     phases: PhaseSet,
     plan: SamplingPlan | None = None,
 ) -> SampleRecord:
-    """One-variate third-order synthesis (scalar pure-spectrum path)."""
-    if S.m != 1:
-        raise UnsupportedConfigurationError("third-order univariate requires m = 1")
-    plan = plan or SamplingPlan.for_grid(S.grid)
-    _check_grid(S.grid, phases)
-    terms = build_third_order_terms(compute_pure_univariate(S, B), B)
-    return _record(terms, phases, plan, Method.THIRD_ORDER_UV)
+    """One-variate third-order synthesis (scalar pure-spectrum split)."""
+    return _draw_one(S, B, Method.THIRD_ORDER_UV, phases, plan)
 
 
 def simulate_3rd_order_mv(
@@ -230,11 +230,8 @@ def simulate_3rd_order_mv(
     phases: PhaseSet,
     plan: SamplingPlan | None = None,
 ) -> SampleRecord:
-    """m-variate third-order synthesis by direct summation."""
-    plan = plan or SamplingPlan.for_grid(S.grid)
-    _check_grid(S.grid, phases)
-    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
-    return _record(terms, phases, plan, Method.THIRD_ORDER_MV)
+    """m-variate third-order synthesis (tensor pure-spectrum split)."""
+    return _draw_one(S, B, Method.THIRD_ORDER_MV, phases, plan)
 
 
 def _check_grid(grid: FrequencyGrid, phases: PhaseSet):

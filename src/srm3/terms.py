@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,22 @@ from .pure import PureSpectrum
 from .spectra import CrossBispectrum, CrossSpectrum
 
 Key = tuple[tuple[int, int], ...]  # sorted ((channel, bin), ...), length 1 or 2
+
+
+class PhaseGroups(NamedTuple):
+    """Every distinct phase key of a term set with its coherent amplitude.
+
+    Groups appear in order of their key's first term.  ``keys`` codes a key
+    by its phase slots ``s = channel * N + bin``: ``s * (m N + 1)`` for a
+    single slot, ``s * (m N + 1) + t + 1`` for a sorted pair ``s <= t``.
+    ``freq / denominator`` is the exact oscillator frequency in units of
+    ``delta_omega``; ``coef[:, g]`` sums the coefficients of the key's terms.
+    """
+
+    keys: np.ndarray  # (n_groups,) int64
+    freq: np.ndarray  # (n_groups,) int64
+    coef: np.ndarray  # (m, n_groups) complex
+    denominator: int  # grid.period_blocks
 
 
 @dataclass(frozen=True)
@@ -87,11 +105,8 @@ class TermSet:
         return osc[self.int_p, self.int_i] + osc[self.int_q, self.int_j]
 
     # ------------------------------------------------------------------
-    # exact rational frequencies and phase keys
+    # exact frequencies and phase keys
     # ------------------------------------------------------------------
-
-    def lin_frequency_index(self, t: int) -> Fraction:
-        return self.grid.frequency_index(int(self.lin_chan[t]), int(self.lin_bin[t]))
 
     def int_frequency_index(self, t: int) -> Fraction:
         g = self.grid
@@ -99,30 +114,55 @@ class TermSet:
             int(self.int_q[t]), int(self.int_j[t])
         )
 
-    def int_key(self, t: int) -> Key:
-        u = (int(self.int_p[t]), int(self.int_i[t]))
-        v = (int(self.int_q[t]), int(self.int_j[t]))
-        return tuple(sorted((u, v)))
+    @cached_property
+    def _groups(self) -> PhaseGroups:
+        grid = self.grid
+        N, Q = grid.N, grid.period_blocks
+        n_slots = self.m * N
+        # exact frequency numerators over Q: every offset times Q is integral
+        off = np.array([int(o * Q) for o in grid.channel_offsets], dtype=np.int64)
+        u = self.int_p * N + self.int_i
+        v = self.int_q * N + self.int_j
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = np.concatenate(
+            [(self.lin_chan * N + self.lin_bin) * (n_slots + 1), lo * (n_slots + 1) + hi + 1]
+        ).astype(np.int64)
+        freq = np.concatenate(
+            [
+                self.lin_bin * Q + off[self.lin_chan],
+                (self.int_i + self.int_j) * Q + off[self.int_p] + off[self.int_q],
+            ]
+        ).astype(np.int64)
+        coef = np.concatenate([self.lin_coef, self.int_coef], axis=1)
+        keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        summed = np.empty((self.m, keys.size), dtype=np.complex128)
+        for a in range(self.m):  # each key's terms add in term order
+            summed[a].real = np.bincount(inverse, coef[a].real, keys.size)
+            summed[a].imag = np.bincount(inverse, coef[a].imag, keys.size)
+        order = np.argsort(first)  # groups in order of their first term
+        groups = PhaseGroups(keys[order], freq[first[order]], summed[:, order], Q)
+        for arr in groups[:3]:
+            arr.setflags(write=False)
+        return groups
 
-    def phase_groups(self) -> dict[Key, tuple[Fraction, np.ndarray]]:
+    def phase_groups(self) -> PhaseGroups:
         """Coherent amplitude of every phase key: terms with equal keys add.
 
-        Returns ``{key: (frequency_index, coef)}`` with ``coef`` of shape
-        ``(m,)``.  A key determines its oscillator frequency, so grouping by
-        key alone is exact.
+        Built once per term set, on first use.  A key determines its
+        oscillator frequency, so grouping by key alone is exact.
         """
-        groups: dict[Key, tuple[Fraction, np.ndarray]] = {}
-        for t in range(self.n_linear):
-            key = ((int(self.lin_chan[t]), int(self.lin_bin[t])),)
-            groups[key] = (self.lin_frequency_index(t), self.lin_coef[:, t].copy())
-        for t in range(self.n_interaction):
-            key = self.int_key(t)
-            fidx = self.int_frequency_index(t)
-            if key in groups:
-                groups[key][1][:] += self.int_coef[:, t]
-            else:
-                groups[key] = (fidx, self.int_coef[:, t].copy())
-        return groups
+        return self._groups
+
+    def _key(self, code: int) -> Key:
+        u, rest = divmod(int(code), self.m * self.grid.N + 1)
+        slots = (u,) if rest == 0 else (u, rest - 1)
+        return tuple(divmod(s, self.grid.N) for s in slots)
+
+    def _active(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies and key codes of the groups with a nonzero amplitude."""
+        g = self.phase_groups()
+        active = np.any(g.coef != 0, axis=0)
+        return g.freq[active], g.keys[active]
 
     def resonant_collisions(self) -> list[tuple[Fraction, list[Key]]]:
         """Distinct phase keys sharing one exact oscillator frequency.
@@ -132,14 +172,16 @@ class TermSet:
         period are phase-independent and equal the discrete targets
         (:meth:`triple_resonances` covers the third moments).
         """
-        by_freq: dict[Fraction, list[Key]] = {}
-        for key, (fidx, coef) in self.phase_groups().items():
-            if not np.any(coef):
-                continue
-            by_freq.setdefault(fidx, []).append(key)
-        return sorted(
-            (fidx, sorted(keys)) for fidx, keys in by_freq.items() if len(keys) > 1
-        )
+        freq, keys = self._active()
+        order = np.lexsort((keys, freq))
+        freq, keys = freq[order], keys[order]
+        values, start, count = np.unique(freq, return_index=True, return_counts=True)
+        Q = self.grid.period_blocks
+        return [
+            (Fraction(int(f), Q), [self._key(k) for k in keys[s : s + c]])
+            for f, s, c in zip(values, start, count)
+            if c > 1
+        ]
 
     def triple_resonances(self, limit: int = 5000) -> list[tuple[Key, Key, Key]] | None:
         """Term triples whose frequencies cancel without their phases doing so.
@@ -152,23 +194,22 @@ class TermSet:
         closure.  Returns ``None`` (unknown) when the term set exceeds
         ``limit`` active keys, since the scan is quadratic.
         """
-        groups = [
-            (fidx, key)
-            for key, (fidx, coef) in self.phase_groups().items()
-            if np.any(coef)
-        ]
-        if len(groups) > limit:
+        freq, keys = self._active()
+        if freq.size > limit:
             return None
-        by_freq: dict[Fraction, list[Key]] = {}
-        for fidx, key in groups:
-            by_freq.setdefault(fidx, []).append(key)
+        by_freq: dict[int, list[Key]] = {}
+        for f, k in zip(freq.tolist(), keys.tolist()):
+            by_freq.setdefault(f, []).append(self._key(k))
+        known = np.sort(freq)
         out = []
-        for i, (fa, ka) in enumerate(groups):
-            for fb, kb in groups[i:]:
+        for i in range(freq.size):
+            sums = freq[i] + freq[i:]
+            pos = np.minimum(np.searchsorted(known, sums), known.size - 1)
+            ka = self._key(keys[i])
+            for h in np.nonzero(known[pos] == sums)[0]:
+                kb = self._key(keys[i + h])
                 merged = tuple(sorted(ka + kb))
-                for kc in by_freq.get(fa + fb, ()):
-                    if tuple(sorted(kc)) != merged:
-                        out.append((ka, kb, kc))
+                out += [(ka, kb, kc) for kc in by_freq[int(sums[h])] if kc != merged]
         return sorted(out)
 
     # ------------------------------------------------------------------
@@ -186,12 +227,9 @@ class TermSet:
         Equals the single-record circular average over the fundamental period
         whenever the term set is free of resonant collisions.
         """
-        dw = self.grid.delta_omega
-        total = 0.0
-        for fidx, coef in self.phase_groups().values():
-            nu = float(fidx) * dw
-            total += 0.5 * (coef[a] * np.conj(coef[b]) * np.exp(-1j * nu * tau)).real
-        return float(total)
+        g = self.phase_groups()
+        nu = g.freq / g.denominator * self.grid.delta_omega
+        return float(0.5 * np.sum((g.coef[a] * np.conj(g.coef[b]) * np.exp(-1j * nu * tau)).real))
 
     def target_third(self, a: int, b: int, c: int, tau1: float, tau2: float) -> float:
         """Exact ``E[f_a(t) f_b(t + tau1) f_c(t + tau2)]``.

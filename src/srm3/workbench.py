@@ -20,29 +20,17 @@ from .errors import Srm3Error
 from .estimators import (
     MomentReport,
     MomentRow,
-    build_terms,
     standard_moment_labels,
     temporal_cross_correlation,
     temporal_mean,
     temporal_third_moment,
     ensemble_moments,
 )
-from .fft import assemble_coefficients, simulate_3rd_order_mv_fft, synthesize_fft
+from .fft import Synthesizer
 from .grids import FrequencyGrid
 from .io import export_csv, write_samples
-from .simulate import (
-    Method,
-    SampleRecord,
-    SamplingPlan,
-    draw_phases,
-    simulate_2nd_order_mv,
-    simulate_3rd_order_mv,
-    simulate_3rd_order_uv,
-    synthesize_direct,
-)
-from .pure import compute_pure_multivariate
+from .simulate import Method, SamplingPlan, draw_phases, synthesize_direct
 from .spectra import CrossBispectrum, CrossSpectrum
-from .terms import build_third_order_terms
 from .wind import TABLE_SECOND_ORDER, TABLE_THIRD_ORDER, build_example_targets
 
 #: Temporal-closure tolerances of the ergodic verification suite.
@@ -53,20 +41,6 @@ SECOND_ORDER_LAGS = (0, 7, 31)
 THIRD_ORDER_LAG_PAIRS = ((0, 0), (7, 3), (31, 11))
 
 
-def simulate_one(config: RunConfig, realization_index: int) -> SampleRecord:
-    """One realization of the configured run."""
-    plan = SamplingPlan.for_grid(config.grid, config.m_f, config.blocks)
-    phases = draw_phases(config.seed, realization_index, config.grid)
-    method = config.method
-    if method is Method.SECOND_ORDER:
-        return simulate_2nd_order_mv(config.spectrum, phases, plan)
-    if method is Method.THIRD_ORDER_UV:
-        return simulate_3rd_order_uv(config.spectrum, config.bispectrum, phases, plan)
-    if method is Method.THIRD_ORDER_MV:
-        return simulate_3rd_order_mv(config.spectrum, config.bispectrum, phases, plan)
-    return simulate_3rd_order_mv_fft(config.spectrum, config.bispectrum, phases, plan)
-
-
 def run_simulation(config: RunConfig, write_plot_data: bool = False) -> MomentReport:
     """Simulate the configured ensemble, write artifacts, return the report.
 
@@ -75,14 +49,11 @@ def run_simulation(config: RunConfig, write_plot_data: bool = False) -> MomentRe
     ``write_plot_data`` a ``moments.csv`` with the report rows is added.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    terms = build_terms(
-        config.spectrum,
-        config.bispectrum,
-        config.method if config.method is not Method.THIRD_ORDER_MV_FFT else Method.THIRD_ORDER_MV,
-    )
+    plan = SamplingPlan.for_grid(config.grid, config.m_f, config.blocks)
+    synth = Synthesizer(config.spectrum, config.bispectrum, config.method, plan)
     records = []
     for r in range(config.realizations):
-        record = simulate_one(config, r)
+        record = synth.record(config.seed, r)
         records.append(record)
         if config.out_format == "csv":
             export_csv(os.path.join(config.out_dir, f"sample_{r:04d}.csv"), record)
@@ -94,7 +65,7 @@ def run_simulation(config: RunConfig, write_plot_data: bool = False) -> MomentRe
         report = ensemble_moments(
             records,
             standard_moment_labels(config.grid.m),
-            terms,
+            synth.terms,
             tolerances=config.tolerances,
             third_order_informational=config.method is Method.SECOND_ORDER,
         )
@@ -151,34 +122,35 @@ def verify_ergodic_identities(
     block length, so the sampled averages equal the continuous-time ones.
     """
     grid = config.grid
-    m_f = config.m_f if config.m_f is not None else 4 * grid.N
-    plan = SamplingPlan.for_grid(grid, m_f)  # full fundamental period
-    terms = build_terms(
+    # full fundamental period (the configured block count is for ensembles)
+    synth = Synthesizer(
         config.spectrum,
         config.bispectrum,
-        config.method if config.method is not Method.THIRD_ORDER_MV_FFT else Method.THIRD_ORDER_MV,
+        config.method,
+        SamplingPlan.for_grid(grid, config.m_f or 4 * grid.N),
     )
+    terms = synth.terms
+    seeds = list(seeds if seeds is not None else [config.seed])
+    meta = {
+        "suite": "ergodic-identities",
+        "method": config.method.value,
+        "seeds": seeds,
+        "samples_per_record": synth.plan.n_samples,
+        "fundamental_period": grid.fundamental_period,
+    }
+    if not seeds:  # the diagnostics and targets below group every phase key
+        return MomentReport((), meta)
     collisions = terms.resonant_collisions()
     triples = terms.triple_resonances()
     informational = bool(collisions)
     third_informational = informational or triples is None or bool(triples)
-    seeds = list(seeds if seeds is not None else [config.seed])
     m = grid.m
     rms = [max(terms.target_rms(a), 1e-300) for a in range(m)]
-    dt = plan.delta_t
+    dt = synth.plan.delta_t
 
     rows = []
     for seed in seeds:
-        phases = draw_phases(seed, 0, grid)
-        cfg_method = config.method
-        if cfg_method is Method.SECOND_ORDER:
-            record = simulate_2nd_order_mv(config.spectrum, phases, plan)
-        elif cfg_method is Method.THIRD_ORDER_UV:
-            record = simulate_3rd_order_uv(config.spectrum, config.bispectrum, phases, plan)
-        elif cfg_method is Method.THIRD_ORDER_MV_FFT:
-            record = simulate_3rd_order_mv_fft(config.spectrum, config.bispectrum, phases, plan)
-        else:
-            record = simulate_3rd_order_mv(config.spectrum, config.bispectrum, phases, plan)
+        record = synth.record(seed, 0)
 
         for a in range(m):
             err = abs(temporal_mean(record, a)) / rms[a]
@@ -230,15 +202,8 @@ def verify_ergodic_identities(
                             )
                         )
 
-    meta = {
-        "suite": "ergodic-identities",
-        "method": config.method.value,
-        "seeds": seeds,
-        "samples_per_record": plan.n_samples,
-        "fundamental_period": grid.fundamental_period,
-        "resonant_collisions": len(collisions),
-        "triple_resonances": None if triples is None else len(triples),
-    }
+    meta["resonant_collisions"] = len(collisions)
+    meta["triple_resonances"] = None if triples is None else len(triples)
     if informational or third_informational:
         meta["note"] = (
             "targets have resonant frequency combinations; affected"
@@ -275,7 +240,9 @@ def run_tables(
     rows = []
 
     # (a) discrete targets vs published values
-    terms2 = build_terms(S, method=Method.SECOND_ORDER)
+    plan = SamplingPlan.for_grid(grid, blocks=blocks)
+    synth2 = Synthesizer(S, None, Method.SECOND_ORDER, plan)
+    terms2 = synth2.terms
     for (a, b), published in TABLE_SECOND_ORDER.items():
         mine = terms2.target_second(a, b, 0.0)
         err = abs(mine - published) / published
@@ -294,11 +261,7 @@ def run_tables(
         )
 
     # (b) second-order ensemble vs published second-order columns
-    plan = SamplingPlan.for_grid(grid, blocks=blocks)
-    records = [
-        simulate_2nd_order_mv(S, draw_phases(seed, r, grid), plan)
-        for r in range(realizations)
-    ]
+    records = [synth2.record(seed, r) for r in range(realizations)]
     report2 = ensemble_moments(
         records,
         standard_moment_labels(3),
@@ -324,15 +287,12 @@ def run_tables(
     scale = 1.0 if bispectrum_scale is None else bispectrum_scale
     B_run = B if scale == 1.0 else CrossBispectrum(grid, B.values * scale)
     try:
-        terms3 = build_terms(S, B_run, Method.THIRD_ORDER_MV)
-        records3 = [
-            simulate_3rd_order_mv_fft(S, B_run, draw_phases(seed + 1, r, grid), plan)
-            for r in range(realizations)
-        ]
+        synth3 = Synthesizer(S, B_run, Method.THIRD_ORDER_MV_FFT, plan)
+        records3 = [synth3.record(seed + 1, r) for r in range(realizations)]
         report3 = ensemble_moments(
             records3,
             standard_moment_labels(3),
-            terms3,
+            synth3.terms,
             tolerances={"second": 0.02, "third_rel": 0.10, "third_abs": 0.15 * scale},
         )
         for row in report3.rows:
@@ -400,8 +360,9 @@ class BenchResult:
     N: int
     m: int
     n_samples: int
-    direct_seconds: float
-    fft_seconds: float
+    compile_seconds: float  # once per run: split, term set, channel layout
+    direct_seconds: float  # one record by direct summation
+    fft_seconds: float  # one record by the compiled FFT path
     max_mismatch_over_rms: float
 
     @property
@@ -433,22 +394,28 @@ def synthetic_bench_targets(
 
 
 def run_bench(N: int = 512, m: int = 3, seed: int = 0, blocks: int = 1) -> BenchResult:
-    """Time the direct and FFT paths on identical targets, phases and plan."""
+    """Time one record by direct summation and by the compiled FFT path.
+
+    The synthesizer is compiled once (split, term set, channel layout) and
+    timed separately; ``fft_seconds`` is the per-record draw users pay for
+    every realization after that.  Both paths see identical terms and phases.
+    """
     S, B = synthetic_bench_targets(N, m)
-    grid = S.grid
-    plan = SamplingPlan.for_grid(grid, blocks=blocks)
-    phases = draw_phases(seed, 0, grid)
-    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
+    plan = SamplingPlan.for_grid(S.grid, blocks=blocks)
+    phases = draw_phases(seed, 0, S.grid)
 
     t0 = time.perf_counter()
-    direct = synthesize_direct(terms, phases, plan)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV_FFT, plan)
+    t_compile = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    direct = synthesize_direct(synth.terms, phases, plan)
     t_direct = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    channels = assemble_coefficients(terms, phases, plan.m_f)
-    via_fft = synthesize_fft(channels, grid, plan)
+    via_fft = synth.draw(phases).values
     t_fft = time.perf_counter() - t0
 
     rms = float(np.sqrt(np.mean(direct**2)))
     mismatch = float(np.abs(direct - via_fft).max() / max(rms, 1e-300))
-    return BenchResult(N, m, plan.n_samples, t_direct, t_fft, mismatch)
+    return BenchResult(N, m, plan.n_samples, t_compile, t_direct, t_fft, mismatch)

@@ -34,7 +34,12 @@ from srm3.estimators import (
     temporal_mean,
     temporal_third_moment,
 )
-from srm3.fft import assemble_coefficients, simulate_3rd_order_mv_fft, synthesize_fft
+from srm3.fft import (
+    Synthesizer,
+    assemble_coefficients,
+    simulate_3rd_order_mv_fft,
+    synthesize_fft,
+)
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.pure import compute_pure_multivariate, compute_pure_univariate
 from srm3.simulate import (
@@ -201,8 +206,8 @@ def test_criterion_2d_scaled_third_order_ensemble_matches_its_targets():
     grid = example_grid()
     S, B = build_example_targets(grid)
     small = CrossBispectrum(grid, B.values * scale)
-    terms = build_terms(S, small, Method.THIRD_ORDER_MV)
-    plan = SamplingPlan.for_grid(grid)
+    synth = Synthesizer(S, small, Method.THIRD_ORDER_MV_FFT, SamplingPlan.for_grid(grid))
+    terms = synth.terms
 
     t0 = time.time()
     R = 200
@@ -210,7 +215,7 @@ def test_criterion_2d_scaled_third_order_ensemble_matches_its_targets():
     third = {key: 0.0 for key in TABLE_THIRD_ORDER}
     mean = np.zeros(3)
     for r in range(R):
-        rec = simulate_3rd_order_mv_fft(S, small, draw_phases(2, r, grid), plan)
+        rec = synth.record(2, r)
         v = rec.values
         mean += v.mean(axis=1)
         second += v @ v.T / rec.n_samples

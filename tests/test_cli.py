@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: determinism, artifacts, exit codes."""
 
+import argparse
 import json
 import os
 
 import numpy as np
+import pytest
 
-from srm3.cli import main
+from srm3.cli import _load_config, main
+from srm3.errors import ConfigError
 from srm3.io import read_samples
 
 
@@ -96,3 +99,62 @@ def test_bench_reports_speedup(capsys):
     assert main(["bench", "--size", "32", "--variates", "2"]) == 0
     out = capsys.readouterr().out
     assert "speedup" in out and "N=32" in out
+
+
+def _write_wind_config(tmp_path, **extra):
+    data = {
+        "schema_version": 1,
+        "grid": {"m": 3, "N": 100, "omega_u": 2.0},
+        "target": {"kind": "wind-example", "bispectrum_scale": 0.04},
+        "method": "third-mv-fft",
+        "realizations": 1,
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    for key, value in extra.items():
+        if key in ("blocks", "m_f"):
+            data["grid"][key] = value
+        else:
+            data[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"blocks": 0}, {"m_f": 50}, {"tolerances": {"second": "tight"}}, {"tolerances": {"bogus": 0.1}}],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_config_values_exit_2_without_artifacts(tmp_path, capsys, extra, command):
+    config = _write_wind_config(tmp_path, **extra)
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value", [("seed", -1), ("seed", 2**70), ("realizations", -1), ("realizations", 2**33)]
+)
+def test_out_of_range_overrides_rejected_before_running(tmp_path, key, value):
+    # parse only: the arguments never reach a run
+    args = argparse.Namespace(config=str(_write_uv_config(tmp_path)), seed=None, realizations=None)
+    setattr(args, key, value)
+    with pytest.raises(ConfigError) as excinfo:
+        _load_config(args)
+    assert any(p.startswith(f"--{key}") for p in excinfo.value.problems)
+
+
+def test_runtime_errors_map_to_exit_codes(tmp_path, monkeypatch):
+    from srm3 import cli
+    from srm3.errors import InvalidParameterError, SampleFormatError
+
+    config = _write_uv_config(tmp_path)
+    out = tmp_path / "o"
+    for exc, code in ((InvalidParameterError("bad"), 2), (SampleFormatError("bad"), 4)):
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        assert json.loads((out / "error.json").read_text())["error"] == type(exc).__name__

@@ -121,3 +121,49 @@ def test_invalid_tabulated_spectrum_fails_fast(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(data), base_dir=str(tmp_path))
     assert any("spectrum target invalid" in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize("grid_extra", [{"blocks": 0}, {"blocks": -2}, {"m_f": 50}, {"m_f": 300}])
+def test_bad_sampling_plan_rejected_at_parse_time(grid_extra):
+    data = _wind_config()
+    data["grid"].update(grid_extra)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(data))
+    assert any(p.startswith("grid:") for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize(
+    "tolerances,field",
+    [
+        ({"second": "tight"}, "tolerances.second"),
+        ({"bogus": 0.1}, "tolerances.bogus"),
+        ({"mean": -0.1}, "tolerances.mean"),
+        ({"third_abs": True}, "tolerances.third_abs"),
+        ({"third_rel": float("nan")}, "tolerances.third_rel"),
+        ({"third_rel": float("inf")}, "tolerances.third_rel"),
+    ],
+)
+def test_bad_tolerances_rejected(tolerances, field):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(_wind_config(tolerances=tolerances)))
+    assert any(field in p for p in excinfo.value.problems)
+
+
+def test_good_tolerances_accepted():
+    tolerances = {"mean": 0, "second": 0.05, "third_rel": 0.2, "third_abs": 1}
+    assert parse_config(json.dumps(_wind_config(tolerances=tolerances))).tolerances == tolerances
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", -1), ("seed", 2**64), ("seed", 2**70), ("realizations", -1), ("realizations", 2**32 + 1)],
+)
+def test_seed_and_realizations_out_of_range(field, value):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(_wind_config(**{field: value})))
+    assert any(p.startswith(field) for p in excinfo.value.problems)
+
+
+def test_seed_and_realizations_at_their_limits():
+    config = parse_config(json.dumps(_wind_config(seed=2**64 - 1, realizations=2**32)))
+    assert (config.seed, config.realizations) == (2**64 - 1, 2**32)

@@ -9,8 +9,6 @@ from srm3.errors import InvalidEnsembleError
 from srm3.estimators import (
     NonErgodicRecordWarning,
     build_terms,
-    discrete_target_second,
-    discrete_target_third,
     ensemble_moments,
     standard_moment_labels,
     temporal_cross_correlation,
@@ -72,15 +70,6 @@ def test_estimator_symmetry_relabeling():
     one = temporal_third_moment(rec, 0, 0, 1, 3, 11, grid)
     other = temporal_third_moment(rec, 0, 1, 0, 11, 3, grid)
     assert one == pytest.approx(other, rel=1e-10, abs=1e-14)
-
-
-def test_discrete_target_wrappers():
-    grid, S, B = collision_free_univariate()
-    terms = build_terms(S, B, Method.THIRD_ORDER_UV)
-    assert discrete_target_second(terms, 0, 0, 0.0) == terms.target_second(0, 0, 0.0)
-    assert discrete_target_third(terms, 0, 0, 0, 0.0, 0.0) == terms.target_third(
-        0, 0, 0, 0.0, 0.0
-    )
 
 
 def test_ensemble_convergence_rate():

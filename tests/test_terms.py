@@ -1,5 +1,7 @@
 """Cosine term sets: coefficients, targets, collision detection."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,84 @@ def test_term_frequencies_are_exact_rationals():
         fidx = terms.int_frequency_index(t)
         i, j = int(terms.int_i[t]), int(terms.int_j[t])
         assert fidx == i + j + 2 * grid.channel_offsets[0]
+
+
+# ----------------------------------------------------------------------
+# grouped phase keys against a Fraction/dict oracle
+# ----------------------------------------------------------------------
+
+
+def _oracle_groups(terms):
+    """``{key: (Fraction frequency, summed coef)}`` in order of first term."""
+    g = terms.grid
+    groups = {}
+    for t in range(terms.n_linear):
+        p, k = int(terms.lin_chan[t]), int(terms.lin_bin[t])
+        groups[((p, k),)] = (g.frequency_index(p, k), terms.lin_coef[:, t].copy())
+    for t in range(terms.n_interaction):
+        u = (int(terms.int_p[t]), int(terms.int_i[t]))
+        v = (int(terms.int_q[t]), int(terms.int_j[t]))
+        key = tuple(sorted((u, v)))
+        if key in groups:
+            groups[key][1][:] += terms.int_coef[:, t]
+        else:
+            groups[key] = (terms.int_frequency_index(t), terms.int_coef[:, t].copy())
+    return groups
+
+
+def _oracle_collisions(groups):
+    by_freq = {}
+    for key, (fidx, coef) in groups.items():
+        if np.any(coef):
+            by_freq.setdefault(fidx, []).append(key)
+    return sorted((f, sorted(keys)) for f, keys in by_freq.items() if len(keys) > 1)
+
+
+def _oracle_triples(groups):
+    active = [(f, key) for key, (f, coef) in groups.items() if np.any(coef)]
+    by_freq = {}
+    for f, key in active:
+        by_freq.setdefault(f, []).append(key)
+    out = []
+    for i, (fa, ka) in enumerate(active):
+        for fb, kb in active[i:]:
+            merged = tuple(sorted(ka + kb))
+            out += [(ka, kb, kc) for kc in by_freq.get(fa + fb, ()) if kc != merged]
+    return sorted(out)
+
+
+def _classic_second_order():
+    g = FrequencyGrid(3, 12, 0.5, OffsetRule.SECOND_ORDER_CLASSIC)
+    s = np.zeros((12, 3, 3), dtype=complex)
+    for a in range(3):
+        s[:, a, a] = 1.0 / (1 + g.sample_frequencies)
+    return build_second_order_terms(CrossSpectrum(g, s))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_terms(*collision_free_univariate()[1:], Method.THIRD_ORDER_UV),
+        lambda: build_terms(*coupled_third_order()[1:], Method.THIRD_ORDER_MV),
+        lambda: build_terms(*coupled_third_order(m=3, N=10)[1:], Method.THIRD_ORDER_MV),
+        _classic_second_order,
+    ],
+)
+def test_grouped_keys_match_fraction_oracle(make):
+    terms = make()
+    groups = _oracle_groups(terms)
+    cache = terms.phase_groups()
+    assert [terms._key(k) for k in cache.keys] == list(groups)
+    for code, freq, coef in zip(cache.keys, cache.freq, cache.coef.T):
+        fidx, want = groups[terms._key(code)]
+        assert Fraction(int(freq), cache.denominator) == fidx
+        assert np.array_equal(coef, want)
+    assert terms.resonant_collisions() == _oracle_collisions(groups)
+    assert terms.triple_resonances() == _oracle_triples(groups)
+    dw = terms.grid.delta_omega
+    for a, b, tau in ((0, 0, 0.0), (0, terms.m - 1, 0.7)):
+        want = sum(
+            0.5 * (c[a] * np.conj(c[b]) * np.exp(-1j * float(f) * dw * tau)).real
+            for f, c in groups.values()
+        )
+        assert terms.target_second(a, b, tau) == pytest.approx(want, rel=1e-13, abs=1e-15)
