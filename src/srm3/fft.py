@@ -8,16 +8,18 @@ the integer-frequency part at all samples of a base block, and a complex
 rotation restores the fractional offset.  Because the rotation is continued
 across blocks (the FFT output is block-periodic, the rotation is not), the
 concatenated blocks reproduce the direct sum at every sample to rounding
-error, at cost ``O(blocks * m_f log m_f)`` per channel instead of
-``O(n_terms * n_samples)``.
+error.  The block turns repeat after one fundamental period, so mixing the
+channels into its blocks is one real ``(rows x 2 n_ch) . (2 n_ch x m_f)``
+product per variate, and longer records repeat that period.
 
 :class:`Synthesizer` does everything that depends only on the targets and
 the sampling plan once per run: the pure/interaction split, the term set,
 each term's flat scatter index into the ``(channel, m_f)`` coefficient
-array, and the rotation tables.  A realization then costs one phase
-rotation, one ``bincount`` per variate, one batched inverse FFT and the
-block expansion.  Every method -- second order, univariate and multivariate
-third order -- runs through it.
+array, the in-block rotation and the block-mixing matrix.  A realization
+then costs one phasor per phase slot, one ``bincount`` per variate, one
+batched inverse FFT and the product above, not the ``O(n_terms * n_samples)``
+direct sum.  Every method -- second order, univariate and multivariate third
+order -- runs through it.
 
 With the default ``m_f = 2N`` the largest populated integer index is at most
 ``N`` (linear terms reach ``N - 1``; interaction pairs reach ``i + j <= N - 1``
@@ -100,10 +102,10 @@ class OffsetChannels:
 
     def deposit(self, phi: np.ndarray) -> np.ndarray:
         """Phase-rotated coefficients of every channel, ``(n_ch, m, m_f)``."""
-        phi = phi.ravel()
-        angle = phi[self.slot_u]
-        angle[self.n_linear :] += phi[self.slot_v]
-        z = self.coef * np.exp(1j * angle)
+        u = np.exp(1j * phi.ravel())  # one phasor per phase slot
+        z = u[self.slot_u]
+        z[self.n_linear :] *= u[self.slot_v]
+        z = self.coef * z
         n_ch, m_f = len(self.offsets), self.m_f
         C = np.empty((n_ch, self.m, m_f), dtype=np.complex128)
         for a in range(self.m):
@@ -114,39 +116,44 @@ class OffsetChannels:
 
 
 def _rotations(offsets, m_f: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """In-block rotation ``(n_ch, m_f)`` and per-block phase ``(n_ch, blocks)``.
+    """In-block rotation ``(n_ch, m_f)`` and block-mixing matrix ``(rows, 2 n_ch)``.
 
     Sample ``r = b m_f + s`` of a channel with offset ``f`` turns by
     ``exp(2 pi i f s / m_f) * exp(2 pi i f b)``; the block turn ``f b`` is
-    reduced modulo one in exact arithmetic, so long records lose no accuracy.
+    reduced modulo one in exact arithmetic, so it repeats after ``P`` blocks,
+    the lcm of the offsets' denominators (a divisor of ``period_blocks``).
+    Row ``b < rows = min(blocks, P)`` is ``[cos 2 pi f b | -sin 2 pi f b]``.
     """
     f = np.array([float(off) for off in offsets])
     inner = np.exp((TWO_PI / m_f) * 1j * np.multiply.outer(f, np.arange(m_f)))
-    b = np.arange(blocks)
+    rows = min(blocks, math.lcm(*(off.denominator for off in offsets)))
+    b = np.arange(rows)
     turns = [(off.numerator * b % off.denominator) / off.denominator for off in offsets]
-    outer = np.exp(TWO_PI * 1j * np.array(turns).reshape(len(offsets), blocks))
-    return inner, outer
+    angle = TWO_PI * np.array(turns).reshape(len(offsets), rows).T
+    return inner, np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
 
 
-def _expand(C: np.ndarray, inner: np.ndarray, outer: np.ndarray, n_samples: int) -> np.ndarray:
-    """Inverse-FFT every channel and sum the block-continued channels.
+def _expand(C: np.ndarray, inner: np.ndarray, mix: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    """Inverse-FFT every channel and mix the channels into the record's blocks.
 
-    Channels are added one at a time in ascending offset order into one
-    ``(m, blocks, m_f)`` buffer, with element-wise operations only, so the
-    bytes depend neither on thread count nor on what was synthesized before.
+    One ``mix @ [Re W; Im W]`` product per variate gives one fundamental
+    period, tiled to ``plan.blocks`` blocks and cut to ``plan.n_samples`` in
+    an array that owns only those values.  The bytes rely on the BLAS product
+    summing its ``2 n_ch`` terms in an order independent of the thread count
+    (``test_record_bytes_do_not_depend_on_blas_threads`` checks it).
     """
-    n_ch, m, m_f = C.shape
-    blocks = outer.shape[1]
-    base = np.fft.ifft(C, axis=-1, norm="forward")  # sum_k C_k e^{2 pi i k s / m_f}
-    out = np.zeros((m, blocks, m_f))
-    tmp = np.empty_like(out)
-    for c in range(n_ch):
-        w = base[c] * inner[c]
-        np.multiply(w.real[:, None, :], outer[c].real[None, :, None], out=tmp)
-        out += tmp
-        np.multiply(w.imag[:, None, :], outer[c].imag[None, :, None], out=tmp)
-        out -= tmp
-    return out.reshape(m, blocks * m_f)[:, :n_samples]
+    _, m, m_f = C.shape
+    W = np.fft.ifft(C, axis=-1, norm="forward")  # sum_k C_k e^{2 pi i k s / m_f}
+    W *= inner[:, None, :]
+    stacked = np.concatenate([W.real, W.imag]).transpose(1, 0, 2)  # (m, 2 n_ch, m_f)
+    period = np.matmul(mix, stacked).reshape(m, -1)
+    span, n_out = period.shape[1], min(plan.n_samples, plan.blocks * m_f)
+    if span == n_out:
+        return period
+    out = np.empty((m, n_out))
+    for lo in range(0, n_out, span):
+        out[:, lo : lo + span] = period[:, : n_out - lo]
+    return out
 
 
 class Synthesizer:
@@ -172,7 +179,7 @@ class Synthesizer:
         self.plan = plan or SamplingPlan.for_grid(S.grid)
         self.terms = build_terms(S, B, method)
         self.channels = OffsetChannels(self.terms, self.plan.m_f)
-        self._inner, self._outer = _rotations(
+        self._inner, self._mix = _rotations(
             self.channels.offsets, self.plan.m_f, self.plan.blocks
         )
 
@@ -181,7 +188,7 @@ class Synthesizer:
         _check_grid(self.grid, phases)
         C = self.channels.deposit(phases.phi)
         return SampleRecord(
-            _expand(C, self._inner, self._outer, self.plan.n_samples),
+            _expand(C, self._inner, self._mix, self.plan),
             self.plan.delta_t,
             self.method,
             phases.seed,
@@ -253,8 +260,8 @@ def synthesize_fft(
         return np.zeros((grid.m, plan.n_samples))
     channels = sorted(channels, key=lambda c: c.offset)
     C = np.stack([ch.C for ch in channels])
-    inner, outer = _rotations([ch.offset for ch in channels], plan.m_f, plan.blocks)
-    return _expand(C, inner, outer, plan.n_samples)
+    inner, mix = _rotations([ch.offset for ch in channels], plan.m_f, plan.blocks)
+    return _expand(C, inner, mix, plan)
 
 
 def simulate_3rd_order_mv_fft(

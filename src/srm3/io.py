@@ -58,7 +58,7 @@ def write_samples(path, record: SampleRecord) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(payload.tobytes())
+            fh.write(memoryview(payload).cast("B"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

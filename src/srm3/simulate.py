@@ -113,6 +113,11 @@ class SamplingPlan:
             blocks = grid.period_blocks
         if blocks < 1:
             raise InvalidParameterError("blocks must be >= 1")
+        if blocks * m_f >= 2**32:  # the sample header counts samples as uint32
+            raise InvalidParameterError(
+                f"blocks * m_f = {blocks * m_f} samples per variate does not fit"
+                " the sample header's 32-bit count"
+            )
         delta_t = TWO_PI / (m_f * grid.delta_omega)
         return cls(delta_t, blocks * m_f, m_f, blocks)
 

@@ -123,7 +123,16 @@ def test_invalid_tabulated_spectrum_fails_fast(tmp_path):
     assert any("spectrum target invalid" in p for p in excinfo.value.problems)
 
 
-@pytest.mark.parametrize("grid_extra", [{"blocks": 0}, {"blocks": -2}, {"m_f": 50}, {"m_f": 300}])
+@pytest.mark.parametrize(
+    "grid_extra",
+    [
+        {"blocks": 0},
+        {"blocks": -2},
+        {"m_f": 50},
+        {"m_f": 300},
+        {"blocks": 21474837},  # 200 * blocks samples overflow the uint32 header count
+    ],
+)
 def test_bad_sampling_plan_rejected_at_parse_time(grid_extra):
     data = _wind_config()
     data["grid"].update(grid_extra)

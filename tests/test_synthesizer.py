@@ -2,12 +2,15 @@
 compile-once behaviour and the wire codes of every method."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srm3
 from srm3 import estimators
 from srm3.cli import main
 from srm3.config import RunConfig
@@ -44,7 +47,7 @@ def cases(draw):
     method = draw(st.sampled_from(methods))
     N = draw(st.integers(6, 12))
     m_f = draw(st.sampled_from([2 * N, 4 * N]))
-    blocks = draw(st.sampled_from(["one", "two", "period"]))
+    blocks = draw(st.sampled_from(["one", "two", "period", "2 periods + 1"]))
     scale = draw(st.sampled_from([0.0, 0.5, 1.0]))
     seed = draw(st.integers(0, 2**64 - 1))
     return m, rule, method, N, m_f, blocks, scale, seed
@@ -55,7 +58,8 @@ def cases(draw):
 def test_synthesizer_equals_direct_sum(case):
     m, rule, method, N, m_f, blocks, scale, seed = case
     grid, S, B = _targets(m, N, rule, scale)
-    n_blocks = {"one": 1, "two": 2, "period": grid.period_blocks}[blocks]
+    period = grid.period_blocks
+    n_blocks = {"one": 1, "two": 2, "period": period, "2 periods + 1": 2 * period + 1}[blocks]
     plan = SamplingPlan.for_grid(grid, m_f, n_blocks)
     synth = Synthesizer(S, B, method, plan)
     phases = draw_phases(seed, 3, grid)
@@ -65,6 +69,14 @@ def test_synthesizer_equals_direct_sum(case):
     assert record.values.shape == (m, n_blocks * m_f)
     assert np.abs(record.values - direct).max() <= 1e-8 * rms
     assert (record.method, record.seed, record.realization_index) == (method, seed, 3)
+    if n_blocks > period:  # block b + period repeats block b byte for byte
+        span = period * m_f
+        values = record.values
+        assert values[:, span:].tobytes() == values[:, : values.shape[1] - span].tobytes()
+    owner = record.values
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes == record.values.nbytes  # no larger buffer kept alive
 
 
 def test_record_bytes_do_not_depend_on_draw_order():
@@ -75,6 +87,40 @@ def test_record_bytes_do_not_depend_on_draw_order():
     backward = [synth.record(5, r).values.tobytes() for r in reversed(range(4))][::-1]
     assert forward == backward
     assert alone.record(5, 2).values.tobytes() == forward[2]
+
+
+_HASH_WIND_RECORDS = """
+import hashlib
+from srm3 import wind
+from srm3.fft import Synthesizer
+from srm3.spectra import CrossBispectrum
+S, B = wind.build_example_targets(wind.example_grid())
+synth = Synthesizer(S, CrossBispectrum(S.grid, 0.04 * B.values))
+print(*(hashlib.sha256(synth.record(0, r).values.tobytes()).hexdigest() for r in (0, 3)))
+"""
+
+
+def test_record_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(srm3.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _HASH_WIND_RECORDS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        hashes.append(child.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_overflow_is_raised_when_compiling():
