@@ -49,7 +49,7 @@ from .fft import (
     simulate_3rd_order_mv_fft,
     synthesize_fft,
 )
-from .grids import FrequencyGrid, OffsetRule, fundamental_period
+from .grids import FrequencyGrid, OffsetRule
 from .pure import PureSpectrum, compute_pure_multivariate, compute_pure_univariate
 from .simulate import (
     Method,

@@ -55,7 +55,8 @@ def _load_config(args) -> RunConfig:
     updates = {}
     seed = getattr(args, "seed", None)
     realizations = getattr(args, "realizations", None)
-    problems = range_problems(seed=seed, realizations=realizations, prefix="--")
+    first = config.seed if seed is None else seed
+    problems = range_problems(first, realizations, getattr(args, "seeds", None), "--")
     if problems:
         raise ConfigError(problems)
     if seed is not None:

@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidInputError, InvalidParameterError
 from .estimators import DEFAULT_ENSEMBLE_TOLERANCES
 from .grids import FrequencyGrid, OffsetRule
 from .io import read_bispectrum_csv, read_spectrum_csv
@@ -227,22 +227,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     # fail-fast target loading and validation
     if target_kind == "wind-example":
         spectrum, bispectrum = build_example_targets(grid)
-        if bispectrum_scale != 1.0:
-            bispectrum = CrossBispectrum(grid, bispectrum.values * bispectrum_scale)
     else:
-        spath = os.path.join(base_dir, spectrum_csv)
-        if not os.path.exists(spath):
-            raise ConfigError(f"target.spectrum_csv: no such file {spath!r}")
-        spectrum = read_spectrum_csv(spath, grid)
-        if bispectrum_csv is not None:
-            bpath = os.path.join(base_dir, bispectrum_csv)
-            if not os.path.exists(bpath):
-                raise ConfigError(f"target.bispectrum_csv: no such file {bpath!r}")
-            bispectrum = read_bispectrum_csv(bpath, grid)
-            if bispectrum_scale != 1.0:
-                bispectrum = CrossBispectrum(grid, bispectrum.values * bispectrum_scale)
-        else:
-            bispectrum = zero_bispectrum(grid)
+        try:
+            spectrum = read_spectrum_csv(os.path.join(base_dir, spectrum_csv), grid)
+            bispectrum = None
+            if bispectrum_csv is not None:
+                bispectrum = read_bispectrum_csv(os.path.join(base_dir, bispectrum_csv), grid)
+        except (InvalidInputError, OSError, UnicodeError) as exc:
+            raise ConfigError(f"target: {exc}") from None
+    if bispectrum is None:
+        bispectrum = zero_bispectrum(grid)
+    elif bispectrum_scale != 1.0:
+        bispectrum = CrossBispectrum(grid, bispectrum.values * bispectrum_scale)
 
     report = validate_spectrum(spectrum)
     if not report.ok:
@@ -269,13 +265,17 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     )
 
 
-def range_problems(seed=None, realizations=None, prefix: str = "") -> list[str]:
-    """Problems with a seed or an ensemble size outside what a run can store."""
+def range_problems(seed=None, realizations=None, seeds=None, prefix: str = "") -> list[str]:
+    """Problems with a seed, an ensemble size or a count of seeds from ``seed`` on."""
     problems = []
     if seed is not None and not 0 <= seed <= MAX_SEED:
         problems.append(f"{prefix}seed must be in [0, 2**64), got {seed}")
     if realizations is not None and not 0 <= realizations <= MAX_REALIZATIONS:
         problems.append(f"{prefix}realizations must be in [0, 2**32], got {realizations}")
+    if seeds is not None and not 0 <= seeds <= MAX_REALIZATIONS:
+        problems.append(f"{prefix}seeds must be in [0, 2**32], got {seeds}")
+    elif seeds and seed is not None and seed + seeds - 1 > MAX_SEED:
+        problems.append(f"{prefix}seeds: the last seed {seed + seeds - 1} is not below 2**64")
     return problems
 
 

@@ -40,10 +40,6 @@ class SpectralFactor:
     zero_bins: np.ndarray  # bool, bins with no energy (H = 0)
 
     @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.H)
-
-    @property
     def phases(self) -> np.ndarray:
         """Polar angles of the factor entries, in (-pi, pi]."""
         return np.angle(self.H)
@@ -56,10 +52,6 @@ class InverseFactor:
     grid: FrequencyGrid
     G: np.ndarray
     zero_bins: np.ndarray
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.G)
 
     @property
     def phases(self) -> np.ndarray:

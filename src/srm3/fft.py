@@ -1,25 +1,27 @@
 """Compiled offset-channel FFT synthesis, exactly equivalent to the direct sum.
 
-Every oscillator frequency is ``(integer + fraction) * delta_omega`` where
-the fraction comes from the channel offsets.  Terms sharing one fractional
-offset form an *offset channel*: their integer parts index a complex
-coefficient array of length ``m_f``, one inverse FFT per channel evaluates
-the integer-frequency part at all samples of a base block, and a complex
-rotation restores the fractional offset.  Because the rotation is continued
-across blocks (the FFT output is block-periodic, the rotation is not), the
-concatenated blocks reproduce the direct sum at every sample to rounding
-error.  The block turns repeat after one fundamental period, so mixing the
-channels into its blocks is one real ``(rows x 2 n_ch) . (2 n_ch x m_f)``
-product per variate, and longer records repeat that period.
+Every term's frequency is an exact integer numerator ``F`` over
+``Q = grid.period_blocks`` (:attr:`TermSet.freq`), in units of
+``delta_omega``.  Writing ``F = carried * Q + residue``, terms sharing one
+residue form an *offset channel* with fractional offset ``residue / Q``:
+their carried parts index a complex coefficient array of length ``m_f``, one
+inverse FFT per channel evaluates the integer-frequency part at all samples
+of a base block, and a complex rotation restores the fractional offset.
+Because the rotation is continued across blocks (the FFT output is
+block-periodic, the rotation is not), the concatenated blocks reproduce the
+direct sum at every sample to rounding error.  The block turns repeat after
+one fundamental period, so mixing the channels into its blocks is one real
+``(rows x 2 n_ch) . (2 n_ch x m_f)`` product per variate, and longer records
+repeat that period.
 
 :class:`Synthesizer` does everything that depends only on the targets and
 the sampling plan once per run: the pure/interaction split, the term set,
 each term's flat scatter index into the ``(channel, m_f)`` coefficient
-array, the in-block rotation and the block-mixing matrix.  A realization
-then costs one phasor per phase slot, one ``bincount`` per variate, one
-batched inverse FFT and the product above, not the ``O(n_terms * n_samples)``
-direct sum.  Every method -- second order, univariate and multivariate third
-order -- runs through it.
+array, the in-block rotation and the block-mixing matrix, all in integer
+arithmetic on the residues.  A realization then costs one phasor per phase
+slot, one ``bincount`` per variate, one batched inverse FFT and the product
+above, not the ``O(n_terms * n_samples)`` direct sum.  Every method --
+second order, univariate and multivariate third order -- runs through it.
 
 With the default ``m_f = 2N`` the largest populated integer index is at most
 ``N`` (linear terms reach ``N - 1``; interaction pairs reach ``i + j <= N - 1``
@@ -55,50 +57,32 @@ TWO_PI = 2.0 * math.pi
 class OffsetChannels:
     """Where every term of a term set lands in the offset-channel FFT.
 
-    ``offsets`` are the channels' exact fractional offsets, ascending.
-    ``scatter[t]`` is ``channel * m_f + integer index`` of term ``t``, linear
-    terms first, then interaction terms, in term-set order.  ``slot_u`` and
-    ``slot_v`` index the flattened ``(m, N)`` phase array: a term's phase is
-    ``phi[slot_u]``, plus ``phi[slot_v]`` for interaction terms.
+    A term's exact frequency numerator ``F`` over ``Q = grid.period_blocks``
+    (:attr:`TermSet.freq`) splits as ``F = carried * Q + residue``.
+    ``residues`` are the distinct residues, ascending: channel ``c`` has the
+    fractional offset ``residues[c] / Q``.  ``scatter[t]`` is
+    ``channel * m_f + carried`` of term ``t``, linear terms first, then
+    interaction terms, in term-set order.  ``slot_u`` and ``slot_v`` index
+    the flattened ``(m, N)`` phase array: a term's phase is ``phi[slot_u]``,
+    plus ``phi[slot_v]`` for interaction terms.
     """
 
     def __init__(self, terms: TermSet, m_f: int):
-        grid = terms.grid
-        m, N = grid.m, grid.N
-        offs = grid.channel_offsets
-        # exact offset of each linear channel p and channel pair (p, q)
-        totals = [offs[p] for p in range(m)] + [
-            offs[p] + offs[q] for p in range(m) for q in range(m)
-        ]
-        carry = np.array([math.floor(t) for t in totals], dtype=np.intp)
-        fracs = [t - math.floor(t) for t in totals]
-        lin_src = terms.lin_chan
-        int_src = m + terms.int_p * m + terms.int_q
-        used = np.unique(np.concatenate([lin_src, int_src]))
-        self.offsets: tuple[Fraction, ...] = tuple(sorted({fracs[s] for s in used}))
-        channel = np.array(
-            [self.offsets.index(f) if f in self.offsets else -1 for f in fracs],
-            dtype=np.intp,
-        )
-        index = np.concatenate(
-            [
-                terms.lin_bin + carry[lin_src],
-                terms.int_i + terms.int_j + carry[int_src],
-            ]
-        )
-        if index.size and index.max() >= m_f:
+        N = terms.grid.N
+        carried, residue = np.divmod(terms.freq, terms.grid.period_blocks)
+        if carried.max() >= m_f:
             raise CoefficientOverflowError(
-                f"harmonic index {int(index.max())} >= m_f = {m_f};"
+                f"harmonic index {int(carried.max())} >= m_f = {m_f};"
                 " increase the FFT block length"
             )
-        self.source = np.concatenate([lin_src, int_src])  # offset source per term
-        self.scatter = channel[self.source] * m_f + index
+        self.residues, channel = np.unique(residue, return_inverse=True)
+        self.scatter = channel * m_f + carried
         self.slot_u = np.concatenate(
             [terms.lin_chan * N + terms.lin_bin, terms.int_p * N + terms.int_i]
         )
         self.slot_v = terms.int_q * N + terms.int_j
         self.coef = np.concatenate([terms.lin_coef, terms.int_coef], axis=1)
-        self.m, self.m_f, self.n_linear = m, m_f, terms.n_linear
+        self.m, self.m_f, self.n_linear = terms.m, m_f, terms.n_linear
 
     def deposit(self, phi: np.ndarray) -> np.ndarray:
         """Phase-rotated coefficients of every channel, ``(n_ch, m, m_f)``."""
@@ -106,7 +90,7 @@ class OffsetChannels:
         z = u[self.slot_u]
         z[self.n_linear :] *= u[self.slot_v]
         z = self.coef * z
-        n_ch, m_f = len(self.offsets), self.m_f
+        n_ch, m_f = len(self.residues), self.m_f
         C = np.empty((n_ch, self.m, m_f), dtype=np.complex128)
         for a in range(self.m):
             for part, target in ((z[a].real, C.real), (z[a].imag, C.imag)):
@@ -115,21 +99,20 @@ class OffsetChannels:
         return C
 
 
-def _rotations(offsets, m_f: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+def _rotations(residues: np.ndarray, Q: int, m_f: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """In-block rotation ``(n_ch, m_f)`` and block-mixing matrix ``(rows, 2 n_ch)``.
 
-    Sample ``r = b m_f + s`` of a channel with offset ``f`` turns by
-    ``exp(2 pi i f s / m_f) * exp(2 pi i f b)``; the block turn ``f b`` is
-    reduced modulo one in exact arithmetic, so it repeats after ``P`` blocks,
-    the lcm of the offsets' denominators (a divisor of ``period_blocks``).
-    Row ``b < rows = min(blocks, P)`` is ``[cos 2 pi f b | -sin 2 pi f b]``.
+    Channel ``c`` has the offset ``f = r / Q`` with ``r = residues[c]``.  Sample
+    ``b m_f + s`` turns by ``exp(2 pi i f s / m_f) * exp(2 pi i f b)``; the
+    block turn is ``(r b mod Q) / Q``, reduced modulo one in integers, so it
+    repeats after ``P = Q / gcd(Q, r_1, ..., r_n)`` blocks.  Row
+    ``b < rows = min(blocks, P)`` is ``[cos 2 pi f b | -sin 2 pi f b]``.
     """
-    f = np.array([float(off) for off in offsets])
+    f = residues / Q
     inner = np.exp((TWO_PI / m_f) * 1j * np.multiply.outer(f, np.arange(m_f)))
-    rows = min(blocks, math.lcm(*(off.denominator for off in offsets)))
-    b = np.arange(rows)
-    turns = [(off.numerator * b % off.denominator) / off.denominator for off in offsets]
-    angle = TWO_PI * np.array(turns).reshape(len(offsets), rows).T
+    rows = min(blocks, Q // math.gcd(Q, *residues.tolist()))
+    turns = np.multiply.outer(np.arange(rows), residues) % Q / Q
+    angle = TWO_PI * turns
     return inner, np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
 
 
@@ -180,7 +163,7 @@ class Synthesizer:
         self.terms = build_terms(S, B, method)
         self.channels = OffsetChannels(self.terms, self.plan.m_f)
         self._inner, self._mix = _rotations(
-            self.channels.offsets, self.plan.m_f, self.plan.blocks
+            self.channels.residues, self.grid.period_blocks, self.plan.m_f, self.plan.blocks
         )
 
     def draw(self, phases: PhaseSet) -> SampleRecord:
@@ -234,14 +217,16 @@ def assemble_coefficients(
     C = layout.deposit(phases.phi)
     channel = layout.scatter // m_f
     m = terms.m
+    source = np.concatenate([terms.lin_chan, m + terms.int_p * m + terms.int_q])
     out = []
-    for c, offset in enumerate(layout.offsets):
-        sources = np.unique(layout.source[channel == c])
+    for c, r in enumerate(layout.residues):
+        sources = np.unique(source[channel == c])
         provenance = [
             ("linear", int(s)) if s < m else ("interaction", *divmod(int(s) - m, m))
             for s in sources
         ]
         n_terms = int(np.count_nonzero(channel == c))
+        offset = Fraction(int(r), terms.grid.period_blocks)
         out.append(OffsetChannelCoefficients(offset, C[c], provenance, n_terms))
     return out
 
@@ -260,8 +245,9 @@ def synthesize_fft(
         return np.zeros((grid.m, plan.n_samples))
     channels = sorted(channels, key=lambda c: c.offset)
     C = np.stack([ch.C for ch in channels])
-    inner, mix = _rotations([ch.offset for ch in channels], plan.m_f, plan.blocks)
-    return _expand(C, inner, mix, plan)
+    Q = grid.period_blocks
+    residues = np.array([int(ch.offset * Q) for ch in channels])
+    return _expand(C, *_rotations(residues, Q, plan.m_f, plan.blocks), plan)
 
 
 def simulate_3rd_order_mv_fft(

@@ -152,8 +152,3 @@ class FrequencyGrid:
         if not pairs:
             return np.empty((0, 2), dtype=np.intp)
         return np.array(sorted(pairs, key=lambda p: (p[0] + p[1], p[0])), dtype=np.intp)
-
-
-def fundamental_period(grid: FrequencyGrid) -> float:
-    """Period over which time averages equal the discrete ensemble targets."""
-    return grid.fundamental_period

@@ -123,9 +123,9 @@ def read_spectrum_csv(path_or_text, grid: FrequencyGrid) -> CrossSpectrum:
     values = np.zeros((N, m, m), dtype=np.complex128)
     seen = set()
     for row in rows:
-        k = int(row[0])
-        if not 0 <= k < N or k in seen:
-            raise InvalidInputError(f"spectrum table: bad or repeated bin {k}")
+        k = _bin_index(row[0], N)
+        if k is None or k in seen:
+            raise InvalidInputError(f"spectrum table: bad or repeated bin {row[0]:g}")
         seen.add(k)
         flat = row[1::2] + 1j * row[2::2]
         values[k] = flat.reshape(m, m)
@@ -144,9 +144,11 @@ def read_bispectrum_csv(path_or_text, grid: FrequencyGrid) -> CrossBispectrum:
     values = np.zeros((N, N, m, m, m), dtype=np.complex128)
     listed = set()
     for row in rows:
-        i, j = int(row[0]), int(row[1])
-        if not (0 <= i < N and 0 <= j < N):
-            raise InvalidInputError(f"bispectrum table: pair ({i}, {j}) out of range")
+        i, j = _bin_index(row[0], N), _bin_index(row[1], N)
+        if i is None or j is None:
+            raise InvalidInputError(
+                f"bispectrum table: pair ({row[0]:g}, {row[1]:g}) out of range"
+            )
         flat = row[2::2] + 1j * row[3::2]
         values[i, j] = flat.reshape(m, m, m)
         listed.add((i, j))
@@ -154,6 +156,11 @@ def read_bispectrum_csv(path_or_text, grid: FrequencyGrid) -> CrossBispectrum:
         if (j, i) not in listed:
             values[j, i] = np.conj(values[i, j])
     return CrossBispectrum(grid, values)
+
+
+def _bin_index(value: float, N: int) -> int | None:
+    """The bin a table's index column names, or ``None`` if it names none."""
+    return int(value) if value.is_integer() and 0 <= value < N else None
 
 
 def _numeric_rows(path_or_text, width: int, what: str) -> list[np.ndarray]:

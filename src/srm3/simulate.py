@@ -179,7 +179,11 @@ def synthesize_direct(terms: TermSet, phases: PhaseSet, plan: SamplingPlan) -> n
     m = terms.m
     phi = phases.phi
 
-    freqs = [terms.lin_freq, terms.int_freq]
+    osc = terms.grid.oscillator_frequencies
+    freqs = [
+        osc[terms.lin_chan, terms.lin_bin],
+        osc[terms.int_p, terms.int_i] + osc[terms.int_q, terms.int_j],
+    ]
     angles = [
         phi[terms.lin_chan, terms.lin_bin],
         phi[terms.int_p, terms.int_i] + phi[terms.int_q, terms.int_j],

@@ -139,14 +139,21 @@ def zero_bispectrum(grid: FrequencyGrid) -> CrossBispectrum:
 
 
 def validate_spectrum(spectrum: CrossSpectrum) -> ValidationReport:
-    """Check Hermitian symmetry, real non-negative diagonal and PSD per bin.
+    """Check finiteness, Hermitian symmetry, real non-negative diagonal and PSD per bin.
 
     Every violated condition is reported with its bin index and magnitude;
-    the report is empty iff the spectrum is a valid synthesis target.
+    the report is empty iff the spectrum is a valid synthesis target.  A bin
+    with a non-finite entry is reported as such and skips the other checks.
     """
     out = []
     vals = spectrum.values
     m = spectrum.m
+
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    for k in np.nonzero(~finite)[0]:
+        i, j = np.argwhere(~np.isfinite(vals[k]))[0]
+        out.append(Violation("finite", (int(k), int(i), int(j)), float("inf")))
+    vals = np.where(finite[:, None, None], vals, 0.0)
 
     herm_err = np.abs(vals - np.conj(np.swapaxes(vals, 1, 2)))
     scale = np.maximum(np.abs(vals).max(axis=(1, 2)), 1.0)

@@ -29,7 +29,7 @@ Two phase combinations interfere deterministically only if they use the same
 multiset of ``(channel, bin)`` draws; that multiset is the term's *key*.
 Distinct keys that share an oscillator frequency ("resonant collisions") make
 single-record averages phase-dependent; :meth:`TermSet.resonant_collisions`
-detects them exactly through rational frequency arithmetic.
+detects them exactly on the integer frequency numerators of :attr:`TermSet.freq`.
 """
 
 from __future__ import annotations
@@ -95,43 +95,39 @@ class TermSet:
     def n_interaction(self) -> int:
         return self.int_coef.shape[1]
 
-    @property
-    def lin_freq(self) -> np.ndarray:
-        return self.grid.oscillator_frequencies[self.lin_chan, self.lin_bin]
-
-    @property
-    def int_freq(self) -> np.ndarray:
-        osc = self.grid.oscillator_frequencies
-        return osc[self.int_p, self.int_i] + osc[self.int_q, self.int_j]
-
     # ------------------------------------------------------------------
     # exact frequencies and phase keys
     # ------------------------------------------------------------------
 
-    def int_frequency_index(self, t: int) -> Fraction:
-        g = self.grid
-        return g.frequency_index(int(self.int_p[t]), int(self.int_i[t])) + g.frequency_index(
-            int(self.int_q[t]), int(self.int_j[t])
-        )
-
     @cached_property
-    def _groups(self) -> PhaseGroups:
-        grid = self.grid
-        N, Q = grid.N, grid.period_blocks
-        n_slots = self.m * N
-        # exact frequency numerators over Q: every offset times Q is integral
-        off = np.array([int(o * Q) for o in grid.channel_offsets], dtype=np.int64)
-        u = self.int_p * N + self.int_i
-        v = self.int_q * N + self.int_j
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        codes = np.concatenate(
-            [(self.lin_chan * N + self.lin_bin) * (n_slots + 1), lo * (n_slots + 1) + hi + 1]
-        ).astype(np.int64)
+    def freq(self) -> np.ndarray:
+        """Exact frequency of every term over ``Q = grid.period_blocks``, read-only.
+
+        ``freq[t] / Q`` is term ``t``'s oscillator frequency in units of
+        ``delta_omega``, linear terms first, then interaction terms, in
+        term-set order.  Every channel offset times ``Q`` is integral, so the
+        numerators are exact integers.
+        """
+        Q = self.grid.period_blocks
+        off = np.array([int(o * Q) for o in self.grid.channel_offsets], dtype=np.int64)
         freq = np.concatenate(
             [
                 self.lin_bin * Q + off[self.lin_chan],
                 (self.int_i + self.int_j) * Q + off[self.int_p] + off[self.int_q],
             ]
+        ).astype(np.int64)
+        freq.setflags(write=False)
+        return freq
+
+    @cached_property
+    def _groups(self) -> PhaseGroups:
+        N = self.grid.N
+        n_slots = self.m * N
+        u = self.int_p * N + self.int_i
+        v = self.int_q * N + self.int_j
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = np.concatenate(
+            [(self.lin_chan * N + self.lin_bin) * (n_slots + 1), lo * (n_slots + 1) + hi + 1]
         ).astype(np.int64)
         coef = np.concatenate([self.lin_coef, self.int_coef], axis=1)
         keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -140,7 +136,9 @@ class TermSet:
             summed[a].real = np.bincount(inverse, coef[a].real, keys.size)
             summed[a].imag = np.bincount(inverse, coef[a].imag, keys.size)
         order = np.argsort(first)  # groups in order of their first term
-        groups = PhaseGroups(keys[order], freq[first[order]], summed[:, order], Q)
+        groups = PhaseGroups(
+            keys[order], self.freq[first[order]], summed[:, order], self.grid.period_blocks
+        )
         for arr in groups[:3]:
             arr.setflags(write=False)
         return groups
@@ -243,16 +241,16 @@ class TermSet:
         """
         if self.n_interaction == 0:
             return 0.0
-        osc = self.grid.oscillator_frequencies
         N = self.grid.N
         # linear terms are one per (channel, bin) slot, in a fixed layout
         lin_slot = np.full((self.m, N), -1, dtype=np.intp)
         lin_slot[self.lin_chan, self.lin_bin] = np.arange(self.n_linear)
 
-        nu_u = osc[self.int_p, self.int_i]
-        nu_v = osc[self.int_q, self.int_j]
+        nu = self.freq / self.grid.period_blocks * self.grid.delta_omega
+        nu_int = nu[self.n_linear :]
         tu = lin_slot[self.int_p, self.int_i]
         tv = lin_slot[self.int_q, self.int_j]
+        nu_u, nu_v = nu[tu], nu[tv]
         doubled = (self.int_p == self.int_q) & (self.int_i == self.int_j)
 
         fields = (a, b, c)
@@ -260,7 +258,7 @@ class TermSet:
         total = 0.0
         for slot in range(3):
             o1, o2 = [s for s in range(3) if s != slot]
-            cint = self.int_coef[fields[slot]] * np.exp(1j * (nu_u + nu_v) * lags[slot])
+            cint = self.int_coef[fields[slot]] * np.exp(1j * nu_int * lags[slot])
             for first, second, mask in (
                 ((tu, nu_u), (tv, nu_v), None),  # u -> slot o1, v -> slot o2
                 ((tv, nu_v), (tu, nu_u), ~doubled),  # swapped, unless u == v

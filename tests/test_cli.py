@@ -158,3 +158,75 @@ def test_runtime_errors_map_to_exit_codes(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_simulation", fail)
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
         assert json.loads((out / "error.json").read_text())["error"] == type(exc).__name__
+
+
+def _write_table_config(tmp_path, spectrum_rows, spectrum_csv="spectrum.csv"):
+    (tmp_path / "spectrum.csv").write_text(spectrum_rows, encoding="utf-8")
+    data = {
+        "schema_version": 1,
+        "grid": {"m": 1, "N": 4, "delta_omega": 0.25},
+        "target": {"kind": "tabulated", "spectrum_csv": spectrum_csv},
+        "method": "second",
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+_GOOD_ROWS = "0,1,0\n1,1,0\n2,1,0\n3,1,0\n"
+
+
+@pytest.mark.parametrize(
+    "rows,spectrum_csv",
+    [
+        ("0,1,0\n1,1e400,0\n2,1,0\n3,1,0\n", "spectrum.csv"),  # overflows to inf
+        ("0,1,0\n1,nan,0\n2,1,0\n3,1,0\n", "spectrum.csv"),
+        ("0,1,0\n7,1,0\n2,1,0\n3,1,0\n", "spectrum.csv"),  # bin out of range
+        (_GOOD_ROWS + "3,1,0\n", "spectrum.csv"),  # an extra, repeated row
+        ("0,1,0\n1.5,1,0\n2,1,0\n3,1,0\n", "spectrum.csv"),  # not a bin index
+        ("\ufeff" + _GOOD_ROWS, "spectrum.csv"),  # byte-order mark on line 1
+        (_GOOD_ROWS, "."),  # a directory, not a table
+    ],
+    ids=["inf", "nan", "bin-out-of-range", "repeated-row", "fractional-bin", "bom", "directory"],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_tables_exit_2_without_artifacts(tmp_path, capsys, rows, spectrum_csv, command):
+    config = _write_table_config(tmp_path, rows, spectrum_csv)
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_good_table_runs(tmp_path):
+    config = _write_table_config(tmp_path, _GOOD_ROWS)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_negative_seed_count_exits_2(tmp_path, capsys):
+    config = _write_uv_config(tmp_path)
+    assert main(["verify", "--config", str(config), "--seeds", "-1"]) == 2
+    assert "--seeds must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seed,seeds,problem",
+    [(None, 10**23, "--seeds must be in"), (2**64 - 1, 2, "--seeds: the last seed")],
+)
+def test_out_of_range_seed_count_rejected_before_running(tmp_path, seed, seeds, problem):
+    # parse only: the arguments never reach a run
+    args = argparse.Namespace(
+        config=str(_write_uv_config(tmp_path)), seed=seed, realizations=None, seeds=seeds
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        _load_config(args)
+    assert any(p.startswith(problem) for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize("seed,seeds", [(None, 0), (None, 2**32), (2**64 - 1, 1)])
+def test_seed_counts_at_their_limits_accepted(tmp_path, seed, seeds):
+    args = argparse.Namespace(
+        config=str(_write_uv_config(tmp_path)), seed=seed, realizations=None, seeds=seeds
+    )
+    assert _load_config(args).seed == (11 if seed is None else seed)

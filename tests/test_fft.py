@@ -1,13 +1,22 @@
 """Offset-channel FFT synthesis: channel structure and exact equivalence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srm3.errors import CoefficientOverflowError
 from srm3.estimators import build_terms
-from srm3.fft import assemble_coefficients, simulate_3rd_order_mv_fft, synthesize_fft
+from srm3.fft import (
+    OffsetChannels,
+    _rotations,
+    assemble_coefficients,
+    simulate_3rd_order_mv_fft,
+    synthesize_fft,
+)
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.simulate import (
     Method,
@@ -17,6 +26,7 @@ from srm3.simulate import (
     synthesize_direct,
 )
 from srm3.spectra import CrossSpectrum
+from srm3.terms import TermSet
 
 from _targets import (
     collision_free_diagonal,
@@ -160,12 +170,88 @@ def test_block_continuation_joins_smoothly():
     r = plan.m_f + 3  # second block
     t = r * plan.delta_t
     phi = phases.phi
+
+    def nu(*slots):  # exact oscillator frequency of a (channel, bin) multiset
+        return float(sum(grid.frequency_index(int(p), int(k)) for p, k in slots)) * grid.delta_omega
+
     direct_value = 0.0
     for tt in range(terms.n_linear):
         c = terms.lin_coef[0, tt] * np.exp(1j * phi[0, terms.lin_bin[tt]])
-        direct_value += (c * np.exp(1j * terms.lin_freq[tt] * t)).real
+        direct_value += (c * np.exp(1j * nu((terms.lin_chan[tt], terms.lin_bin[tt])) * t)).real
     for tt in range(terms.n_interaction):
         ang = phi[0, terms.int_i[tt]] + phi[0, terms.int_j[tt]]
         c = terms.int_coef[0, tt] * np.exp(1j * ang)
-        direct_value += (c * np.exp(1j * terms.int_freq[tt] * t)).real
+        u = (terms.int_p[tt], terms.int_i[tt])
+        v = (terms.int_q[tt], terms.int_j[tt])
+        direct_value += (c * np.exp(1j * nu(u, v) * t)).real
     assert out[0, r] == pytest.approx(direct_value, rel=1e-10, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the integer frequency layout against a Fraction oracle
+# ----------------------------------------------------------------------
+
+
+def _full_terms(grid, channels):
+    """Every slot and every interaction pair of ``channels``, on every pair of them.
+
+    The layout depends only on which (channel, bin) slots a term draws on,
+    so the coefficients are left at zero.  A channel subset leaves residues
+    unpopulated, which can shorten the mixing period below ``Q``.
+    """
+    m, N, n = grid.m, grid.N, len(channels)
+    chan = np.array(sorted(channels))
+    pairs = grid.interaction_pairs()
+    p, q = (a.ravel() for a in np.meshgrid(chan, chan, indexing="ij"))
+    n_int = len(pairs) * n * n
+    return TermSet(
+        grid,
+        np.tile(chan, N),
+        np.repeat(np.arange(N), n),
+        np.zeros((m, n * N), dtype=complex),
+        np.tile(p, len(pairs)),
+        np.tile(q, len(pairs)),
+        np.repeat(pairs[:, 0], n * n),
+        np.repeat(pairs[:, 1], n * n),
+        np.zeros((m, n_int), dtype=complex),
+    )
+
+
+@st.composite
+def layout_cases(draw):
+    m = draw(st.integers(1, 4))
+    rules = [OffsetRule.MULTIVARIATE_DOUBLE_INDEX, OffsetRule.SECOND_ORDER_CLASSIC]
+    if m == 1:
+        rules.append(OffsetRule.UNIVARIATE_ERGODIC)
+    rule = draw(st.sampled_from(rules))
+    N = draw(st.integers(1, 12))
+    channels = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    blocks = draw(st.integers(1, 2 * N * m + 1))
+    return FrequencyGrid(m, N, 0.3, rule), channels, blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout_cases())
+def test_integer_layout_matches_fraction_oracle(case):
+    grid, channels, blocks = case
+    terms = _full_terms(grid, channels)
+    Q, m_f = grid.period_blocks, 2 * grid.N + 2
+    slots = [((int(p), int(k)),) for p, k in zip(terms.lin_chan, terms.lin_bin)]
+    slots += [
+        ((int(p), int(i)), (int(q), int(j)))
+        for p, q, i, j in zip(terms.int_p, terms.int_q, terms.int_i, terms.int_j)
+    ]
+    exact = [sum(grid.frequency_index(c, k) for c, k in s) for s in slots]
+    assert terms.freq.tolist() == [f * Q for f in exact]  # int == Fraction only if integral
+
+    frac = [f - math.floor(f) for f in exact]
+    offsets = sorted(set(frac))
+    layout = OffsetChannels(terms, m_f)
+    assert [Fraction(int(r), Q) for r in layout.residues] == offsets
+    expected = [offsets.index(x) * m_f + math.floor(f) for x, f in zip(frac, exact)]
+    assert layout.scatter.tolist() == expected
+
+    period = math.lcm(*(x.denominator for x in offsets))
+    inner, mix = _rotations(layout.residues, Q, m_f, blocks)
+    assert mix.shape == (min(blocks, period), 2 * len(offsets))
+    assert inner.shape == (len(offsets), m_f)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srm3.errors import InvalidParameterError
-from srm3.grids import FrequencyGrid, OffsetRule, fundamental_period
+from srm3.grids import FrequencyGrid, OffsetRule
 
 
 def test_univariate_ergodic_frequencies():
@@ -50,21 +50,21 @@ def test_fundamental_period_univariate_reference_value():
     # N = 100, delta_omega = 0.02: one period spans N base blocks
     g = FrequencyGrid(1, 100, 0.02, OffsetRule.UNIVARIATE_ERGODIC)
     assert g.period_blocks == 100
-    assert fundamental_period(g) == pytest.approx(2 * 100 * math.pi / 0.02)
-    assert fundamental_period(g) == pytest.approx(31415.9265, abs=1e-3)
+    assert g.fundamental_period == pytest.approx(2 * 100 * math.pi / 0.02)
+    assert g.fundamental_period == pytest.approx(31415.9265, abs=1e-3)
 
 
 def test_fundamental_period_double_index_m2():
     g = FrequencyGrid(2, 16, 0.5, OffsetRule.MULTIVARIATE_DOUBLE_INDEX)
     # offsets l/4 + 1/16 = {5/16, 9/16}: sixteen blocks clear both
     assert g.period_blocks == 16
-    assert fundamental_period(g) == pytest.approx(16 * 2 * math.pi / 0.5)
+    assert g.fundamental_period == pytest.approx(16 * 2 * math.pi / 0.5)
 
 
 def test_fundamental_period_classic_m2():
     g = FrequencyGrid(2, 16, 0.5, OffsetRule.SECOND_ORDER_CLASSIC)
     assert g.period_blocks == 2
-    assert fundamental_period(g) == pytest.approx(2 * 2 * math.pi / 0.5)
+    assert g.fundamental_period == pytest.approx(2 * 2 * math.pi / 0.5)
 
 
 def _lcm_oracle(offsets):

@@ -1,5 +1,7 @@
 """Structural validation of spectral and bispectral targets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,15 @@ def test_shape_errors():
         CrossSpectrum(g, np.zeros((3, 2, 2)))  # wrong bin count
     with pytest.raises(Exception):
         CrossBispectrum(g, np.zeros((4, 4, 2, 2)))  # missing tensor axis
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+def test_non_finite_spectrum_reported_per_bin(bad):
+    g = FrequencyGrid(2, 4, 0.5)
+    s = np.zeros((4, 2, 2), dtype=complex)
+    s[:, 0, 0] = s[:, 1, 1] = 1.0
+    s[2, 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the other checks never see the bad bin
+        report = validate_spectrum(CrossSpectrum(g, s))
+    assert [(v.condition, v.where) for v in report.violations] == [("finite", (2, 1, 0))]

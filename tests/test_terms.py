@@ -158,7 +158,8 @@ def test_term_frequencies_are_exact_rationals():
     grid, S, B = collision_free_univariate()
     terms = build_terms(S, B, Method.THIRD_ORDER_UV)
     for t in range(terms.n_interaction):
-        fidx = terms.int_frequency_index(t)
+        fidx = Fraction(int(terms.freq[terms.n_linear + t]), grid.period_blocks)
+        assert fidx == _int_frequency(terms, t)
         i, j = int(terms.int_i[t]), int(terms.int_j[t])
         assert fidx == i + j + 2 * grid.channel_offsets[0]
 
@@ -166,6 +167,14 @@ def test_term_frequencies_are_exact_rationals():
 # ----------------------------------------------------------------------
 # grouped phase keys against a Fraction/dict oracle
 # ----------------------------------------------------------------------
+
+
+def _int_frequency(terms, t):
+    """Exact frequency of interaction term ``t`` from the grid's own offsets."""
+    g = terms.grid
+    return g.frequency_index(int(terms.int_p[t]), int(terms.int_i[t])) + g.frequency_index(
+        int(terms.int_q[t]), int(terms.int_j[t])
+    )
 
 
 def _oracle_groups(terms):
@@ -182,7 +191,7 @@ def _oracle_groups(terms):
         if key in groups:
             groups[key][1][:] += terms.int_coef[:, t]
         else:
-            groups[key] = (terms.int_frequency_index(t), terms.int_coef[:, t].copy())
+            groups[key] = (_int_frequency(terms, t), terms.int_coef[:, t].copy())
     return groups
 
 
