@@ -16,7 +16,7 @@ from srm3 import (
     OffsetRule,
     SamplingPlan,
     build_terms,
-    compute_pure_univariate,
+    compute_pure_multivariate,
     draw_phases,
     simulate_3rd_order_uv,
     temporal_cross_correlation,
@@ -39,7 +39,7 @@ bispectrum[4, 5] = np.conj(bispectrum[5, 4])
 B = CrossBispectrum(grid, bispectrum)
 
 # --- pure/interaction split ------------------------------------------
-pure = compute_pure_univariate(S, B)
+pure = compute_pure_multivariate(S, B)  # at m = 1, the scalar recursion
 print("pure spectrum at the interaction sinks (bins 8, 9):")
 print("  S   =", spectrum[[8, 9]])
 print("  S_p =", pure.S_p[[8, 9], 0, 0].real.round(6))

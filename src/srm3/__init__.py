@@ -12,7 +12,6 @@ offset-channel FFT; direct cosine summation is kept as its oracle.
 from .decomposition import (
     InverseFactor,
     SpectralFactor,
-    biphase,
     factor_spectrum,
     invert_factor,
 )
@@ -50,7 +49,7 @@ from .fft import (
     synthesize_fft,
 )
 from .grids import FrequencyGrid, OffsetRule
-from .pure import PureSpectrum, compute_pure_multivariate, compute_pure_univariate
+from .pure import PureSpectrum, compute_pure_multivariate
 from .simulate import (
     Method,
     PhaseSet,

@@ -1,8 +1,9 @@
 """Run configuration: a JSON document with an explicit schema version.
 
-Parsing is strict and fail-fast: unknown fields are errors, every problem is
-reported with its field path, and referenced target tables are read and
-validated before any simulation starts.
+Parsing is strict and fail-fast: unknown or repeated fields are errors, a
+boolean is not a number, every problem is reported with its field path, and
+referenced target tables are read and validated before any simulation
+starts.
 
 Example::
 
@@ -99,9 +100,10 @@ class _Reader:
                 return None
             return default
         value = self.data[key]
-        if kind is float and isinstance(value, int):
+        if kind is float and type(value) is int:
             value = float(value)
-        if kind is not None and not isinstance(value, kind):
+        # a JSON boolean is an int to isinstance, but never a number here
+        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
             kname = kind.__name__ if hasattr(kind, "__name__") else str(kind)
             self.problems.append(
                 f"field '{self._at(key)}' must be {kname},"
@@ -122,6 +124,16 @@ class _Reader:
             self.problems.append(f"unknown field '{self._at(key)}'")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that refuses a key given twice in one object."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate field {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse and fully validate a configuration document.
 
@@ -132,7 +144,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         missing or invalid target tables).
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

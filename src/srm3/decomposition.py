@@ -39,11 +39,6 @@ class SpectralFactor:
     H: np.ndarray
     zero_bins: np.ndarray  # bool, bins with no energy (H = 0)
 
-    @property
-    def phases(self) -> np.ndarray:
-        """Polar angles of the factor entries, in (-pi, pi]."""
-        return np.angle(self.H)
-
 
 @dataclass(frozen=True)
 class InverseFactor:
@@ -52,10 +47,6 @@ class InverseFactor:
     grid: FrequencyGrid
     G: np.ndarray
     zero_bins: np.ndarray
-
-    @property
-    def phases(self) -> np.ndarray:
-        return np.angle(self.G)
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
@@ -196,9 +187,3 @@ def _inverse(Hk: np.ndarray) -> np.ndarray | None:
     if svals[-1] <= SINGULAR_TOLERANCE * svals[0]:
         return None
     return np.linalg.inv(Hk)
-
-
-def biphase(bispectrum, a: int, l: int, n: int, i: int, j: int) -> float:
-    """Polar angle of ``B[a,l,n](w_i, w_j)`` via atan2, in (-pi, pi]."""
-    value = bispectrum.values[i, j, a, l, n]
-    return float(np.arctan2(value.imag, value.real))

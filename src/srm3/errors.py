@@ -37,9 +37,9 @@ class SingularFactorError(Srm3Error):
 class InfeasibleBispectrumError(Srm3Error):
     """The bispectrum demands more interaction energy than the spectrum holds.
 
-    The pure-spectrum recursion went negative (univariate) or indefinite
-    (multivariate) at ``bin_index``; ``deficit`` is how far below zero the
-    offending eigenvalue/value fell.
+    The pure-spectrum recursion went indefinite, or its correction was not
+    finite, at ``bin_index``; ``deficit`` is how far below zero the offending
+    eigenvalue fell (``None`` for a non-finite correction).
     """
 
     def __init__(self, msg, bin_index=None, deficit=None):

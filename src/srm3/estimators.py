@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidEnsembleError
+from .errors import InvalidEnsembleError, UnsupportedConfigurationError
 from .grids import FrequencyGrid
-from .pure import compute_pure_multivariate, compute_pure_univariate
+from .pure import compute_pure_multivariate
 from .simulate import Method, SampleRecord
-from .spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
+from .spectra import CrossBispectrum, CrossSpectrum
 from .terms import TermSet, build_second_order_terms, build_third_order_terms
 
 
@@ -36,17 +36,17 @@ class NonErgodicRecordWarning(UserWarning):
 def build_terms(
     S: CrossSpectrum, B: CrossBispectrum | None = None, method: Method = Method.THIRD_ORDER_MV
 ) -> TermSet:
-    """Term set of a synthesis method, after the split that fits it.
+    """Term set of a synthesis method.
 
-    The factor alone for second order, the scalar split for ``third-uv``, the
-    tensor split for ``third-mv`` and ``third-mv-fft`` (which share terms).
+    Without an interaction pair (``second``, which ignores ``B``, or ``B``
+    absent or zero) the terms come from the factor of ``S`` alone, which is
+    what the split gives then; otherwise from the pure/interaction split,
+    one for every third-order method.  ``third-uv`` needs ``m = 1``.
     """
-    if method is Method.SECOND_ORDER:
+    if method is Method.THIRD_ORDER_UV and S.m != 1:
+        raise UnsupportedConfigurationError("method 'third-uv' requires m = 1")
+    if method is Method.SECOND_ORDER or B is None or B.is_zero():
         return build_second_order_terms(S)
-    if B is None:
-        B = zero_bispectrum(S.grid)
-    if method is Method.THIRD_ORDER_UV:
-        return build_third_order_terms(compute_pure_univariate(S, B), B)
     return build_third_order_terms(compute_pure_multivariate(S, B), B)
 
 

@@ -15,13 +15,14 @@ one fundamental period, so mixing the channels into its blocks is one real
 repeat that period.
 
 :class:`Synthesizer` does everything that depends only on the targets and
-the sampling plan once per run: the pure/interaction split, the term set,
-each term's flat scatter index into the ``(channel, m_f)`` coefficient
-array, the in-block rotation and the block-mixing matrix, all in integer
-arithmetic on the residues.  A realization then costs one phasor per phase
-slot, one ``bincount`` per variate, one batched inverse FFT and the product
-above, not the ``O(n_terms * n_samples)`` direct sum.  Every method --
-second order, univariate and multivariate third order -- runs through it.
+the sampling plan once per run: the pure/interaction split (one for every
+third-order method), the term set, each term's flat scatter index into the
+``(channel, m_f)`` coefficient array, the in-block rotation and the
+block-mixing matrix, all in integer arithmetic on the residues.  A
+realization then costs one phasor per phase slot, one ``bincount`` per
+variate, one batched inverse FFT and the product above, not the
+``O(n_terms * n_samples)`` direct sum.  Every method -- second order,
+univariate and multivariate third order -- runs through it.
 
 With the default ``m_f = 2N`` the largest populated integer index is at most
 ``N`` (linear terms reach ``N - 1``; interaction pairs reach ``i + j <= N - 1``
@@ -142,9 +143,9 @@ def _expand(C: np.ndarray, inner: np.ndarray, mix: np.ndarray, plan: SamplingPla
 class Synthesizer:
     """A run's synthesis, compiled once; each realization is a cheap draw.
 
-    Construction runs the split that fits ``method`` (the factor alone for
-    second order, the scalar split for ``third-uv``, the tensor split
-    otherwise), builds the :class:`TermSet` and the offset-channel layout,
+    Construction builds the :class:`TermSet` of ``method`` (the factor of
+    ``S`` alone when no interaction pair is set, the pure/interaction split
+    otherwise; see :func:`build_terms`) and the offset-channel layout,
     and raises :class:`CoefficientOverflowError` if ``plan.m_f`` is too
     short.  :meth:`record` then synthesizes realization ``r`` of ``seed``;
     its bytes depend only on ``(seed, r)``, not on which records came before.

@@ -14,7 +14,7 @@ so a single forward sweep over bins resolves the recursion::
     S_p[k] = S[k] - sum_{i+j=k} B(i,j) (W_i x W_j) B(i,j)^dagger dw,
     W_i    = S_p[i]^-1
 
-(univariate: ``S_p[k] = S[k] - sum |B|^2 dw / (S_p[i] S_p[j])``).
+(at ``m = 1``: ``S_p[k] = S[k] - sum |B|^2 dw / (S_p[i] S_p[j])``).
 
 The single power of ``dw`` is what energy conservation fixes: an interaction
 term has amplitude ``2 |B| dw / sqrt(S_p S_p)`` and therefore variance
@@ -46,7 +46,6 @@ from .errors import (
     InvalidInputError,
     SingularFactorError,
     SingularPureSpectrumError,
-    UnsupportedConfigurationError,
 )
 from .grids import FrequencyGrid
 from .spectra import (
@@ -74,82 +73,6 @@ class PureSpectrum:
     inverse: InverseFactor
     source_bins: np.ndarray  # bool, bins feeding some nonzero interaction pair
 
-    @property
-    def pure_spectrum(self) -> CrossSpectrum:
-        return CrossSpectrum(self.grid, self.S_p)
-
-
-def _demand_mask(B: CrossBispectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Which pairs carry a nonzero tensor, and which bins they draw from."""
-    pair_nonzero = np.any(B.values != 0, axis=(2, 3, 4))
-    N = B.N
-    sources = np.zeros(N, dtype=bool)
-    for i in range(1, N):
-        for j in range(1, min(i, N - 1 - i) + 1):
-            if pair_nonzero[i, j] or pair_nonzero[j, i]:
-                sources[i] = sources[j] = True
-    return pair_nonzero, sources
-
-
-def compute_pure_univariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
-    """Pure/interaction split of a one-variate power spectrum.
-
-    Scalar forward recursion, independent of the tensor path of
-    :func:`compute_pure_multivariate` (to which it agrees at ``m = 1``).
-
-    Raises
-    ------
-    InfeasibleBispectrumError
-        If ``S_p`` goes negative at some bin (reports the bin and deficit).
-    SingularPureSpectrumError
-        If an interaction pair divides by a zero pure-spectrum bin.
-    """
-    if S.m != 1 or B.m != 1:
-        raise UnsupportedConfigurationError("univariate split requires m = 1")
-    grid = S.grid
-    if B.grid != grid:
-        raise InvalidInputError("spectrum and bispectrum grids differ")
-    N = S.N
-    dw = grid.delta_omega
-
-    s = S.values[:, 0, 0].real.copy()
-    b = B.values[:, :, 0, 0, 0]
-    s_p = s.copy()
-    for k in range(2, N):
-        corr = 0.0
-        for j in range(1, k // 2 + 1):
-            i = k - j
-            bij = b[i, j]
-            if bij == 0:
-                continue
-            denom = s_p[i] * s_p[j]
-            if denom < ZERO_TRACE:
-                zb = i if s_p[i] < s_p[j] else j
-                raise SingularPureSpectrumError(
-                    f"pure spectrum is empty at source bin {zb}", bin_index=zb
-                )
-            corr += abs(bij) ** 2 / denom
-        s_p[k] = s[k] - corr * dw
-        if s_p[k] < -PSD_TOLERANCE * max(abs(s[k]), ZERO_TRACE):
-            raise InfeasibleBispectrumError(
-                f"interaction energy exceeds the spectrum at bin {k}:"
-                f" pure spectrum {s_p[k]:.6e}",
-                bin_index=k,
-                deficit=float(-s_p[k]),
-            )
-        s_p[k] = max(s_p[k], 0.0)
-
-    S_p = s_p.astype(np.complex128).reshape(N, 1, 1)
-    S_I = (s - s_p).astype(np.complex128).reshape(N, 1, 1)
-    _, sources = _demand_mask(B)
-    pure = CrossSpectrum(grid, S_p)
-    factor = factor_spectrum(pure)
-    inverse = _invert_where_possible(factor, sources)
-    S_p.setflags(write=False)
-    S_I.setflags(write=False)
-    sources.setflags(write=False)
-    return PureSpectrum(grid, S_p, S_I, factor, inverse, sources)
-
 
 def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
     """Pure/interaction split of an m-variate cross-spectral matrix.
@@ -158,20 +81,30 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
     ``C_ab = sum_{efgh} B_aef(i,j) W_eg(i) W_fh(j) conj(B_bgh(i,j)) dw``
     summed over source pairs, with ``W = S_p^-1`` taken from already-resolved
     bins (equal-bin pairs additionally combine their swapped channel pairs
-    coherently).  At ``m = 1`` this agrees with the univariate split to
-    rounding error.
+    coherently).  At ``m = 1`` it reduces to the scalar recursion of the
+    module docstring.
+
+    Raises
+    ------
+    InfeasibleBispectrumError
+        If ``S_p`` goes indefinite at some bin (reports the bin and deficit),
+        or the correction there is not finite (reports the bin).
+    SingularPureSpectrumError
+        If an interaction pair draws from an empty or singular ``S_p`` bin.
     """
-    return _compute_pure(S, B)
-
-
-def _compute_pure(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
     grid = S.grid
     if B.grid != grid:
         raise InvalidInputError("spectrum and bispectrum grids differ")
     m, N = S.m, S.N
     dw = grid.delta_omega
 
-    pair_nonzero, sources = _demand_mask(B)
+    # which pairs carry a nonzero tensor, and which bins they draw from
+    pair_nonzero = np.any(B.values != 0, axis=(2, 3, 4))
+    sources = np.zeros(N, dtype=bool)
+    for i in range(1, N):
+        for j in range(1, min(i, N - 1 - i) + 1):
+            if pair_nonzero[i, j] or pair_nonzero[j, i]:
+                sources[i] = sources[j] = True
     sym = 0.5 * (S.values + np.conj(np.swapaxes(S.values, 1, 2)))
 
     S_p = np.array(sym, dtype=np.complex128)
@@ -184,7 +117,7 @@ def _compute_pure(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
                 raise SingularPureSpectrumError(
                     f"pure spectrum is empty at source bin {b}", bin_index=b
                 )
-            G[b] = _inverse(_factor_bin(S_p[b], trace, b))
+            G[b] = _inverse(_factor_one(0.5 * (S_p[b] + np.conj(S_p[b].T)), trace, b))
             if G[b] is None:
                 raise SingularPureSpectrumError(
                     f"pure spectrum is singular at source bin {b}", bin_index=b
@@ -192,46 +125,53 @@ def _compute_pure(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
         return G[b]
 
     diag = np.arange(m)
-    for k in range(2, N):
-        corr = np.zeros((m, m), dtype=np.complex128)
-        hit = False
-        for j in range(1, k // 2 + 1):
-            i = k - j
-            if not pair_nonzero[i, j]:
+    # an overflowing correction is caught below as a non-finite bin
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, N):
+            corr = np.zeros((m, m), dtype=np.complex128)
+            hit = False
+            for j in range(1, k // 2 + 1):
+                i = k - j
+                if not pair_nonzero[i, j]:
+                    continue
+                # T[a, p, q] is the complex amplitude (per dw) the synthesis puts
+                # on phase channel pair (p, q); the correction is the exact
+                # second-moment mass of those terms.  W = G* G = S_p^-1, so for
+                # i > j this is the contraction B (W x W) B^dagger.
+                T = np.einsum(
+                    "aln,pl,qn->apq",
+                    np.conj(B.values[i, j]),
+                    whitening_factor(i),
+                    whitening_factor(j),
+                )
+                if i == j:
+                    # channel pairs (p, q) and (q, p) share one phase draw pair
+                    # and add coherently before squaring
+                    T_sym = T + np.transpose(T, (0, 2, 1))
+                    Td = T[:, diag, diag]
+                    corr += 0.5 * np.einsum(
+                        "apq,bpq->ab", T_sym, np.conj(T_sym)
+                    ) - np.einsum("ap,bp->ab", Td, np.conj(Td))
+                else:
+                    corr += np.einsum("apq,bpq->ab", T, np.conj(T))
+                hit = True
+            if not hit:
                 continue
-            # T[a, p, q] is the complex amplitude (per dw) the synthesis puts
-            # on phase channel pair (p, q); the correction is the exact
-            # second-moment mass of those terms.  W = G* G = S_p^-1, so for
-            # i > j this is the contraction B (W x W) B^dagger.
-            T = np.einsum(
-                "aln,pl,qn->apq",
-                np.conj(B.values[i, j]),
-                whitening_factor(i),
-                whitening_factor(j),
-            )
-            if i == j:
-                # channel pairs (p, q) and (q, p) share one phase draw pair
-                # and add coherently before squaring
-                T_sym = T + np.transpose(T, (0, 2, 1))
-                Td = T[:, diag, diag]
-                corr += 0.5 * np.einsum(
-                    "apq,bpq->ab", T_sym, np.conj(T_sym)
-                ) - np.einsum("ap,bp->ab", Td, np.conj(Td))
-            else:
-                corr += np.einsum("apq,bpq->ab", T, np.conj(T))
-            hit = True
-        if not hit:
-            continue
-        S_p[k] = S_p[k] - np.conj(corr) * dw
-        trace = np.trace(S_p[k]).real
-        eigmin = float(np.linalg.eigvalsh(0.5 * (S_p[k] + np.conj(S_p[k].T)))[0])
-        if eigmin < -PSD_TOLERANCE * max(abs(trace), ZERO_TRACE):
-            raise InfeasibleBispectrumError(
-                f"interaction energy exceeds the spectrum at bin {k}:"
-                f" pure-spectrum eigenvalue {eigmin:.6e}",
-                bin_index=k,
-                deficit=-eigmin,
-            )
+            correction = np.conj(corr) * dw
+            if not np.all(np.isfinite(correction)):
+                raise InfeasibleBispectrumError(
+                    f"interaction energy at bin {k} is not finite", bin_index=k
+                )
+            S_p[k] = S_p[k] - correction
+            trace = np.trace(S_p[k]).real
+            eigmin = float(np.linalg.eigvalsh(0.5 * (S_p[k] + np.conj(S_p[k].T)))[0])
+            if eigmin < -PSD_TOLERANCE * max(abs(trace), ZERO_TRACE):
+                raise InfeasibleBispectrumError(
+                    f"interaction energy exceeds the spectrum at bin {k}:"
+                    f" pure-spectrum eigenvalue {eigmin:.6e}",
+                    bin_index=k,
+                    deficit=-eigmin,
+                )
 
     S_I = sym - S_p
     pure = CrossSpectrum(grid, S_p)
@@ -241,10 +181,6 @@ def _compute_pure(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
     S_I.setflags(write=False)
     sources.setflags(write=False)
     return PureSpectrum(grid, S_p, S_I, factor, inverse, sources)
-
-
-def _factor_bin(mat: np.ndarray, trace: float, k: int) -> np.ndarray:
-    return _factor_one(0.5 * (mat + np.conj(mat.T)), trace, k)
 
 
 def _invert_where_possible(factor: SpectralFactor, sources: np.ndarray) -> InverseFactor:

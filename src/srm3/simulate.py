@@ -229,7 +229,7 @@ def simulate_3rd_order_uv(
     phases: PhaseSet,
     plan: SamplingPlan | None = None,
 ) -> SampleRecord:
-    """One-variate third-order synthesis (scalar pure-spectrum split)."""
+    """One-variate third-order synthesis (the pure-spectrum split at ``m = 1``)."""
     return _draw_one(S, B, Method.THIRD_ORDER_UV, phases, plan)
 
 
@@ -239,7 +239,7 @@ def simulate_3rd_order_mv(
     phases: PhaseSet,
     plan: SamplingPlan | None = None,
 ) -> SampleRecord:
-    """m-variate third-order synthesis (tensor pure-spectrum split)."""
+    """m-variate third-order synthesis (pure-spectrum split)."""
     return _draw_one(S, B, Method.THIRD_ORDER_MV, phases, plan)
 
 

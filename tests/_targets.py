@@ -17,6 +17,37 @@ def univariate_grid(N=16, delta_omega=0.2):
     return FrequencyGrid(1, N, delta_omega, OffsetRule.UNIVARIATE_ERGODIC)
 
 
+def univariate_target(N, s_values, pairs, delta_omega=0.5):
+    """One-variate S from ``s_values``; B from ``{(i, j): value}`` and its mirror."""
+    grid = univariate_grid(N, delta_omega)
+    s = np.asarray(s_values, dtype=complex).reshape(N, 1, 1)
+    b = np.zeros((N, N, 1, 1, 1), dtype=complex)
+    for (i, j), value in pairs.items():
+        b[i, j] = value
+        b[j, i] = np.conj(value)
+    return grid, CrossSpectrum(grid, s), CrossBispectrum(grid, b)
+
+
+def brute_force_univariate(s, b, dw):
+    """Independent scalar split recursion, loop style: ``(S_p, first bad bin)``.
+
+    The oracle of the pure/interaction split at ``m = 1``; the first bin
+    whose pure spectrum goes negative stops the loop (``None`` if none does).
+    """
+    N = len(s)
+    s_p = np.array(s, dtype=float)
+    for k in range(N):
+        corr = 0.0
+        for j in range(1, k // 2 + 1):
+            i = k - j
+            if b[i, j] != 0:
+                corr += abs(b[i, j]) ** 2 / (s_p[i] * s_p[j])
+        s_p[k] = s[k] - corr * dw
+        if s_p[k] < 0:
+            return s_p, k
+    return s_p, None
+
+
 def collision_free_univariate(N=16, delta_omega=0.2):
     """Band-limited S on bins {4,5,8,9}; B at (4,4) and complex (5,4)."""
     grid = univariate_grid(N, delta_omega)

@@ -40,8 +40,7 @@ from srm3.fft import (
     simulate_3rd_order_mv_fft,
     synthesize_fft,
 )
-from srm3.grids import FrequencyGrid, OffsetRule
-from srm3.pure import compute_pure_multivariate, compute_pure_univariate
+from srm3.pure import compute_pure_multivariate
 from srm3.simulate import (
     Method,
     SamplingPlan,
@@ -51,7 +50,7 @@ from srm3.simulate import (
     simulate_3rd_order_uv,
     synthesize_direct,
 )
-from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
+from srm3.spectra import CrossBispectrum, zero_bispectrum
 from srm3.wind import (
     TABLE_SECOND_ORDER,
     TABLE_THIRD_ORDER,
@@ -61,9 +60,11 @@ from srm3.wind import (
 from srm3.workbench import run_bench, zero_lag_third_target
 
 from _targets import (
+    brute_force_univariate,
     collision_free_diagonal,
     collision_free_univariate,
     coherent_gaussian,
+    univariate_target,
 )
 
 SEEDS = list(range(20))
@@ -333,9 +334,11 @@ def test_criterion_5_reductions():
     phases = draw_phases(13, 0, grid)
     plan = SamplingPlan.for_grid(grid)
 
-    uv_pure = compute_pure_univariate(S, B)
+    oracle, _ = brute_force_univariate(
+        S.values[:, 0, 0].real, B.values[:, :, 0, 0, 0], grid.delta_omega
+    )
     mv_pure = compute_pure_multivariate(S, B)
-    pure_gap = float(np.abs(uv_pure.S_p - mv_pure.S_p).max())
+    pure_gap = float(np.abs(oracle - mv_pure.S_p[:, 0, 0]).max())
 
     uv = simulate_3rd_order_uv(S, B, phases, plan)
     mv = simulate_3rd_order_mv(S, B, phases, plan)
@@ -365,30 +368,16 @@ def test_criterion_5_reductions():
 
 
 def test_criterion_6_infeasibility_detected_at_first_violating_bin():
-    N, dw = 12, 0.5
-    grid = FrequencyGrid(1, N, dw, OffsetRule.UNIVARIATE_ERGODIC)
-    s = np.ones((N, 1, 1), dtype=complex)
-    vals = np.zeros((N, N, 1, 1, 1), dtype=complex)
-    for (i, j), b in {(1, 1): 1.2, (3, 2): 1.1, (4, 3): 0.9}.items():
-        vals[i, j] = b
-        vals[j, i] = b
-    S, B = CrossSpectrum(grid, s), CrossBispectrum(grid, vals)
+    N = 12
+    grid, S, B = univariate_target(N, [1.0] * N, {(1, 1): 1.2, (3, 2): 1.1, (4, 3): 0.9})
 
     # independent forward recursion to locate the first violation
-    s_p = np.ones(N)
-    first_bad = None
-    for k in range(N):
-        corr = sum(
-            abs(vals[k - j, j, 0, 0, 0]) ** 2 / (s_p[k - j] * s_p[j])
-            for j in range(1, k // 2 + 1)
-        )
-        s_p[k] = 1.0 - corr * dw
-        if s_p[k] < 0:
-            first_bad = k
-            break
+    _, first_bad = brute_force_univariate(
+        S.values[:, 0, 0].real, B.values[:, :, 0, 0, 0], grid.delta_omega
+    )
 
     with pytest.raises(InfeasibleBispectrumError) as excinfo:
-        compute_pure_univariate(S, B)
+        compute_pure_multivariate(S, B)
     _report(
         "6",
         first_bad is not None and excinfo.value.bin_index == first_bad,

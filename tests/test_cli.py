@@ -230,3 +230,47 @@ def test_seed_counts_at_their_limits_accepted(tmp_path, seed, seeds):
         config=str(_write_uv_config(tmp_path)), seed=seed, realizations=None, seeds=seeds
     )
     assert _load_config(args).seed == (11 if seed is None else seed)
+
+
+def _edited_wind_config(tmp_path, field, value):
+    """The wind config with ``field`` (dotted for nested) set to ``value``."""
+    path = _write_wind_config(tmp_path)
+    data = json.loads(path.read_text())
+    section, _, key = field.rpartition(".")
+    (data[section] if section else data)[key] = value
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("field", ["seed", "realizations", "grid.N"])
+def test_boolean_for_a_number_exits_2(tmp_path, capsys, field):
+    config = _edited_wind_config(tmp_path, field, True)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert f"field '{field}' must be int, got bool" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_key_exits_2(tmp_path, capsys):
+    config = _write_wind_config(tmp_path)
+    config.write_text('{"seed": 1, "seed": 2, ' + config.read_text()[1:])
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "duplicate field 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_split_exits_3_with_a_json_error_record(tmp_path):
+    # the scaled B is finite, but the split's products overflow
+    config = _edited_wind_config(tmp_path, "target.bispectrum_scale", 1e300)
+    data = json.loads(config.read_text())
+    data["grid"]["N"] = 20
+    config.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(config)]) == 3
+
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "out"
+    record = json.loads((out / "error.json").read_text(), parse_constant=not_json)
+    assert record["error"] == "InfeasibleBispectrumError"
+    assert isinstance(record["bin_index"], int)
+    assert not [n for n in os.listdir(out) if n.startswith("sample")]

@@ -1,18 +1,18 @@
-"""Per-bin factorization, inversion and polar angles."""
+"""Per-bin factorization and inversion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srm3.decomposition import biphase, factor_spectrum, invert_factor
+from srm3.decomposition import factor_spectrum, invert_factor
 from srm3.errors import (
     InvalidInputError,
     NotPositiveSemidefiniteError,
     SingularFactorError,
 )
-from srm3.grids import FrequencyGrid, OffsetRule
-from srm3.spectra import CrossBispectrum, CrossSpectrum
+from srm3.grids import FrequencyGrid
+from srm3.spectra import CrossSpectrum
 
 from _targets import coherent_gaussian
 
@@ -28,7 +28,7 @@ def test_identity_factors_to_identity():
     factor = factor_spectrum(S)
     for k in range(3):
         np.testing.assert_allclose(factor.H[k], np.eye(2), atol=1e-14)
-    assert np.all(factor.phases == 0)
+    assert np.all(np.angle(factor.H) == 0)
 
 
 def test_diagonal_factors_to_elementwise_roots():
@@ -125,7 +125,7 @@ def test_univariate_reduction():
     np.testing.assert_allclose(factor.H[:, 0, 0], [2.0, 0.5])
     inverse = invert_factor(factor)
     np.testing.assert_allclose(inverse.G[:, 0, 0], [0.5, 2.0])
-    assert np.all(factor.phases == 0) and np.all(inverse.phases == 0)
+    assert np.all(np.angle(factor.H) == 0) and np.all(np.angle(inverse.G) == 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,18 +139,3 @@ def test_reconstruction_property_random_psd(seed, m):
     err = np.linalg.norm(H @ np.conj(H.T) - mat)
     assert err <= 1e-10 * max(np.linalg.norm(mat), 1.0)
 
-
-def _biphase_fixture(value):
-    grid = FrequencyGrid(1, 3, 1.0, OffsetRule.UNIVARIATE_ERGODIC)
-    vals = np.zeros((3, 3, 1, 1, 1), dtype=complex)
-    vals[1, 1] = np.real(value)
-    vals[2, 1] = value
-    vals[1, 2] = np.conj(value)
-    return CrossBispectrum(grid, vals)
-
-
-def test_biphase_quadrants():
-    assert biphase(_biphase_fixture(2.0), 0, 0, 0, 2, 1) == 0.0
-    assert biphase(_biphase_fixture(1.5j), 0, 0, 0, 2, 1) == pytest.approx(np.pi / 2)
-    assert biphase(_biphase_fixture(-3.0), 0, 0, 0, 2, 1) == pytest.approx(np.pi)
-    assert biphase(_biphase_fixture(1 + 1j), 0, 0, 0, 2, 1) == pytest.approx(np.pi / 4)

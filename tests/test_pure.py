@@ -5,41 +5,21 @@ import pytest
 
 from srm3.errors import InfeasibleBispectrumError, SingularPureSpectrumError
 from srm3.grids import FrequencyGrid, OffsetRule
-from srm3.pure import compute_pure_multivariate, compute_pure_univariate
+from srm3.pure import compute_pure_multivariate
 from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
 
-from _targets import collision_free_univariate, coupled_third_order
-
-
-def _uv(N, s_values, pairs):
-    grid = FrequencyGrid(1, N, 0.5, OffsetRule.UNIVARIATE_ERGODIC)
-    s = np.asarray(s_values, dtype=complex).reshape(N, 1, 1)
-    b = np.zeros((N, N, 1, 1, 1), dtype=complex)
-    for (i, j), value in pairs.items():
-        b[i, j] = value
-        b[j, i] = np.conj(value)
-    return grid, CrossSpectrum(grid, s), CrossBispectrum(grid, b)
-
-
-def brute_force_univariate(s, b, dw):
-    """Independent scalar recursion, loop style, for cross-checking."""
-    N = len(s)
-    s_p = np.array(s, dtype=float)
-    for k in range(N):
-        corr = 0.0
-        for j in range(1, k // 2 + 1):
-            i = k - j
-            if b[i, j] != 0:
-                corr += abs(b[i, j]) ** 2 / (s_p[i] * s_p[j])
-        s_p[k] = s[k] - corr * dw
-        if s_p[k] < 0:
-            return s_p, k
-    return s_p, None
+from _targets import (
+    brute_force_univariate,
+    collision_free_diagonal,
+    collision_free_univariate,
+    coupled_third_order,
+    univariate_target,
+)
 
 
 def test_zero_bispectrum_keeps_spectrum():
-    grid, S, _ = _uv(6, [1, 2, 3, 4, 5, 6], {})
-    pure = compute_pure_univariate(S, zero_bispectrum(grid))
+    grid, S, _ = univariate_target(6, [1, 2, 3, 4, 5, 6], {})
+    pure = compute_pure_multivariate(S, zero_bispectrum(grid))
     np.testing.assert_array_equal(pure.S_p, S.values)
     assert not np.any(pure.S_I)
 
@@ -47,8 +27,8 @@ def test_zero_bispectrum_keeps_spectrum():
 def test_hand_recursion_single_pair():
     # S = 1 everywhere, one bispectral entry feeding bin 2: only bin 2 changes
     b = 0.8
-    grid, S, B = _uv(4, [1.0] * 4, {(1, 1): b})
-    pure = compute_pure_univariate(S, B)
+    grid, S, B = univariate_target(4, [1.0] * 4, {(1, 1): b})
+    pure = compute_pure_multivariate(S, B)
     s_p = pure.S_p[:, 0, 0].real
     dw = grid.delta_omega
     np.testing.assert_allclose(s_p, [1.0, 1.0, 1.0 - b**2 * dw, 1.0], atol=1e-15)
@@ -56,7 +36,7 @@ def test_hand_recursion_single_pair():
 
 def test_recursion_matches_brute_force_oracle():
     grid, S, B = collision_free_univariate()
-    pure = compute_pure_univariate(S, B)
+    pure = compute_pure_multivariate(S, B)
     oracle, violated = brute_force_univariate(
         S.values[:, 0, 0].real, B.values[:, :, 0, 0, 0], grid.delta_omega
     )
@@ -66,9 +46,9 @@ def test_recursion_matches_brute_force_oracle():
 
 def test_infeasible_bispectrum_raises_at_first_bad_bin():
     b = 2.4  # 1 - b^2 * dw < 0 for dw = 0.5
-    grid, S, B = _uv(6, [1.0] * 6, {(1, 1): b})
+    grid, S, B = univariate_target(6, [1.0] * 6, {(1, 1): b})
     with pytest.raises(InfeasibleBispectrumError) as excinfo:
-        compute_pure_univariate(S, B)
+        compute_pure_multivariate(S, B)
     oracle, violated = brute_force_univariate(
         S.values[:, 0, 0].real, B.values[:, :, 0, 0, 0], grid.delta_omega
     )
@@ -77,19 +57,22 @@ def test_infeasible_bispectrum_raises_at_first_bad_bin():
 
 
 def test_zero_source_bin_with_demand_raises():
-    grid, S, B = _uv(6, [1.0, 0.0, 1.0, 1.0, 1.0, 1.0], {(2, 1): 0.5})
+    grid, S, B = univariate_target(6, [1.0, 0.0, 1.0, 1.0, 1.0, 1.0], {(2, 1): 0.5})
     with pytest.raises(SingularPureSpectrumError) as excinfo:
-        compute_pure_univariate(S, B)
+        compute_pure_multivariate(S, B)
     assert excinfo.value.bin_index == 1
     assert isinstance(excinfo.value, InfeasibleBispectrumError)
 
 
 def test_multivariate_reduces_to_univariate():
-    grid, S, B = collision_free_univariate()
-    uv = compute_pure_univariate(S, B)
+    # m = 1 on the multivariate-rule grid: the split is the scalar recursion
+    grid, S, B = collision_free_diagonal(1, N=16)
+    s = S.values[:, 0, 0].real
+    oracle, violated = brute_force_univariate(s, B.values[:, :, 0, 0, 0], grid.delta_omega)
+    assert violated is None
     mv = compute_pure_multivariate(S, B)
-    np.testing.assert_allclose(mv.S_p, uv.S_p, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(mv.S_I, uv.S_I, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(mv.S_p[:, 0, 0], oracle, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(mv.S_I[:, 0, 0], s - oracle, rtol=1e-12, atol=1e-15)
 
 
 def test_multivariate_correction_matches_nested_loop_oracle():

@@ -7,35 +7,44 @@ import pytest
 
 from srm3.estimators import build_terms
 from srm3.grids import FrequencyGrid, OffsetRule
-from srm3.pure import compute_pure_univariate
+from srm3.pure import compute_pure_multivariate
 from srm3.simulate import Method
 from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
 from srm3.terms import build_second_order_terms, build_third_order_terms
+from srm3.wind import build_example_targets, example_grid
 
 from _targets import (
+    brute_force_univariate,
+    coherent_gaussian,
     collision_free_diagonal,
     collision_free_univariate,
     coupled_third_order,
 )
 
 
+def _oracle_pure(grid, S, B):
+    s_p, violated = brute_force_univariate(
+        S.values[:, 0, 0].real, B.values[:, :, 0, 0, 0], grid.delta_omega
+    )
+    assert violated is None
+    return s_p
+
+
 def test_linear_coefficients_univariate():
     # m = 1: linear amplitude is 2 sqrt(S_p dw), real positive
     grid, S, B = collision_free_univariate()
-    pure = compute_pure_univariate(S, B)
-    terms = build_third_order_terms(pure, B)
+    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
     assert terms.n_linear == grid.N
-    expected = 2.0 * np.sqrt(pure.S_p[:, 0, 0].real * grid.delta_omega)
+    expected = 2.0 * np.sqrt(_oracle_pure(grid, S, B) * grid.delta_omega)
     np.testing.assert_allclose(terms.lin_coef[0].real, expected, atol=1e-15)
     np.testing.assert_allclose(terms.lin_coef[0].imag, 0, atol=1e-15)
 
 
 def test_interaction_coefficients_univariate():
     grid, S, B = collision_free_univariate()
-    pure = compute_pure_univariate(S, B)
-    terms = build_third_order_terms(pure, B)
+    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
     dw = grid.delta_omega
-    s_p = pure.S_p[:, 0, 0].real
+    s_p = _oracle_pure(grid, S, B)
     # one term per stored pair; amplitude 2 |B| dw / sqrt(S_p S_p), phase -beta
     by_pair = {
         (int(i), int(j)): terms.int_coef[0, t]
@@ -52,6 +61,21 @@ def test_zero_bispectrum_gives_linear_only():
     grid, S, B = collision_free_univariate()
     terms = build_terms(S, zero_bispectrum(grid), Method.THIRD_ORDER_MV)
     assert terms.n_interaction == 0
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [lambda: build_example_targets(example_grid(N=100)), lambda: coherent_gaussian(3)[1:]],
+    ids=["wind N=100", "complex S"],
+)
+def test_second_order_terms_equal_zero_bispectrum_split(targets):
+    # build_terms skips the split without an interaction pair; it must not matter
+    S, _ = targets()
+    zero = zero_bispectrum(S.grid)
+    split = build_third_order_terms(compute_pure_multivariate(S, zero), zero)
+    for terms in (build_terms(S, method=Method.SECOND_ORDER), build_terms(S, zero)):
+        assert terms.lin_coef.tobytes() == split.lin_coef.tobytes()
+        assert terms.n_interaction == split.n_interaction == 0
 
 
 def test_second_order_terms_draw_from_full_spectrum():
