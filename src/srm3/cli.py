@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 unrealizable target,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -115,11 +116,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    report, infeasible = run_tables(
-        seed=args.seed if args.seed is not None else 0,
-        realizations=args.realizations if args.realizations is not None else 200,
-        bispectrum_scale=args.bispectrum_scale,
-    )
+    seed = 0 if args.seed is None else args.seed
+    realizations = 200 if args.realizations is None else args.realizations
+    scale = args.bispectrum_scale
+    problems = range_problems(seed, realizations, prefix="--")
+    if realizations == 0:
+        problems.append("--realizations must be at least 1, got 0")
+    if scale is not None and not math.isfinite(scale):
+        problems.append(f"--bispectrum-scale must be finite, got {scale}")
+    if problems:
+        raise ConfigError(problems)
+    report, infeasible = run_tables(seed, realizations, scale)
     print(report)
     if infeasible is not None:
         print(f"third-order ensemble not run: {infeasible}", file=sys.stderr)

@@ -23,8 +23,8 @@ The grid takes either ``omega_u`` (cutoff, bin width derived as
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidInputError, InvalidParameterError
@@ -101,6 +101,9 @@ class _Reader:
             return default
         value = self.data[key]
         if kind is float and type(value) is int:
+            if abs(value) > sys.float_info.max:
+                self.problems.append(f"field '{self._at(key)}' is beyond the float range")
+                return None
             value = float(value)
         # a JSON boolean is an int to isinstance, but never a number here
         if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
@@ -145,7 +148,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # bad syntax, or an integer too long to read
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -302,8 +307,7 @@ def _tolerance_problems(tolerances: dict) -> list[str]:
         elif (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or value < 0
+            or not 0 <= value <= sys.float_info.max  # NaN, inf and huge integers fail
         ):
             problems.append(
                 f"field 'tolerances.{key}' must be a finite number >= 0, got {value!r}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -70,14 +71,17 @@ def temporal_mean(record: SampleRecord, a: int) -> float:
     return float(np.mean(record.values[a]))
 
 
+def _shifted(values: np.ndarray, lag: int) -> np.ndarray:
+    """``values[(r + lag) mod M]``; the values themselves at lag 0."""
+    return values if lag == 0 else np.roll(values, -lag)
+
+
 def temporal_cross_correlation(
     record: SampleRecord, a: int, b: int, lag: int, grid: FrequencyGrid | None = None
 ) -> float:
     """Circular average ``(1/M) sum_r f_a(r) f_b(r + lag mod M)``."""
     _warn_if_partial(record, grid)
-    fa = record.values[a]
-    fb = np.roll(record.values[b], -lag)
-    return float(np.mean(fa * fb))
+    return float(np.mean(record.values[a] * _shifted(record.values[b], lag)))
 
 
 def temporal_third_moment(
@@ -91,10 +95,8 @@ def temporal_third_moment(
 ) -> float:
     """Circular average ``(1/M) sum_r f_a(r) f_b(r + lag1) f_c(r + lag2)``."""
     _warn_if_partial(record, grid)
-    fa = record.values[a]
-    fb = np.roll(record.values[b], -lag1)
-    fc = np.roll(record.values[c], -lag2)
-    return float(np.mean(fa * fb * fc))
+    fb = _shifted(record.values[b], lag1)
+    return float(np.mean(record.values[a] * fb * _shifted(record.values[c], lag2)))
 
 
 # ----------------------------------------------------------------------
@@ -175,25 +177,120 @@ MomentLabel = tuple  # ("mean", a) | ("second", a, b) | ("third", a, b, c)
 
 def standard_moment_labels(m: int) -> list[MomentLabel]:
     """Means, distinct second moments, and distinct third moments for m variates."""
-    labels: list[MomentLabel] = [("mean", a) for a in range(m)]
-    labels += [("second", a, b) for a in range(m) for b in range(a, m)]
-    labels += [
-        ("third", a, b, c)
-        for a in range(m)
-        for b in range(a, m)
-        for c in range(b, m)
+    return [
+        (kind, *fields)
+        for kind, order in (("mean", 1), ("second", 2), ("third", 3))
+        for fields in combinations_with_replacement(range(m), order)
     ]
-    return labels
 
 
-def _format_label(label: MomentLabel) -> str:
-    kind = label[0]
-    idx = "".join(str(i + 1) for i in label[1:])
-    if kind == "mean":
-        return f"E[f{idx}]"
-    if kind == "second":
-        return f"E[f{label[1]+1} f{label[2]+1}]"
-    return f"E[f{label[1]+1} f{label[2]+1} f{label[3]+1}]"
+def variates(fields) -> str:
+    """``f1 f2 f3`` for the 0-based variate indices ``(0, 1, 2)``."""
+    return " ".join(f"f{i + 1}" for i in fields)
+
+
+@dataclass(frozen=True)
+class MomentCheck:
+    """One moment's target and pass rule, built once per run.
+
+    ``fields`` holds one, two or three variates (a mean, a cross-correlation
+    or a third moment), ``lags`` the sample lags of the second and third.
+    """
+
+    label: str
+    fields: tuple[int, ...]
+    lags: tuple[int, ...]
+    target: float
+    floor: float
+    tolerance: float
+    abs_tolerance: float = 0.0
+    informational: bool = False
+
+    def estimate(self, record: SampleRecord) -> float:
+        """The record's temporal (circular) average of the moment."""
+        if len(self.fields) == 1:
+            return temporal_mean(record, *self.fields)
+        if len(self.fields) == 2:
+            return temporal_cross_correlation(record, *self.fields, *self.lags)
+        return temporal_third_moment(record, *self.fields, *self.lags)
+
+    def row(self, simulated: float, prefix: str = "") -> MomentRow:
+        """The report row of an estimate, under the one rule of every report.
+
+        The error is the miss ``|simulated - target|`` over
+        ``max(|target|, floor)``; the row passes when the error is within
+        ``tolerance`` or the miss within ``abs_tolerance``.
+        """
+        miss = abs(simulated - self.target)
+        error = miss / max(abs(self.target), self.floor)
+        passed = error <= self.tolerance or miss <= self.abs_tolerance
+        return MomentRow(
+            prefix + self.label, simulated, self.target, error, self.tolerance, passed,
+            self.informational,
+        )
+
+
+def term_check(
+    terms: TermSet, rms: list[float], label: str, fields, lags, tolerance: float,
+    floor: float | None = None, abs_tolerance: float = 0.0, informational: bool = False,
+    delta_t: float = 0.0,
+) -> MomentCheck:
+    """The check of ``fields`` at sample ``lags`` against the term-set target.
+
+    The target's lags are ``lag * delta_t``.  ``floor`` defaults to ``rms``
+    of a mean's variate, and to 1e-3 of the fields' RMS product otherwise.
+    """
+    if len(fields) == 1:
+        target, default = terms.target_mean(*fields), rms[fields[0]]
+    else:
+        target_at = terms.target_second if len(fields) == 2 else terms.target_third
+        target = target_at(*fields, *(lag * delta_t for lag in lags))
+        default = 1e-3
+        for a in fields:
+            default *= rms[a]
+    return MomentCheck(
+        label, tuple(fields), tuple(lags), target, default if floor is None else floor,
+        tolerance, abs_tolerance, informational,
+    )
+
+
+def moment_rows(
+    records: list[SampleRecord], checks: list[MomentCheck], prefix: str = ""
+) -> list[MomentRow]:
+    """One row per check: its estimate averaged over records of one shape and method."""
+    if not records:
+        raise InvalidEnsembleError("need at least one record")
+    if len({(r.values.shape, r.delta_t, r.method) for r in records}) > 1:
+        raise InvalidEnsembleError("records mix shapes, time steps or methods")
+    return [
+        check.row(float(np.mean([check.estimate(r) for r in records])), prefix)
+        for check in checks
+    ]
+
+
+def ensemble_checks(
+    moments: list[MomentLabel],
+    terms: TermSet,
+    tolerances: dict | None = None,
+    third_order_informational: bool = False,
+) -> list[MomentCheck]:
+    """Zero-lag checks at the ensemble tolerances; a third moment's floor is ``third_abs``."""
+    tol = {**DEFAULT_ENSEMBLE_TOLERANCES, **(tolerances or {})}
+    rms = [max(terms.target_rms(a), 1e-300) for a in range(terms.m)]
+    checks = []
+    for kind, *fields in moments:
+        label, lags = f"E[{variates(fields)}]", (0,) * (len(fields) - 1)
+        if kind == "third":
+            check = term_check(
+                terms, rms, label, fields, lags, tol["third_rel"], tol["third_abs"],
+                tol["third_abs"], third_order_informational,
+            )
+        elif kind in ("mean", "second"):
+            check = term_check(terms, rms, label, fields, lags, tol[kind])
+        else:
+            raise InvalidEnsembleError(f"unknown moment kind {kind!r}")
+        checks.append(check)
+    return checks
 
 
 def ensemble_moments(
@@ -205,67 +302,14 @@ def ensemble_moments(
 ) -> MomentReport:
     """Average zero-lag product moments across records and time, vs targets.
 
-    All records must share variate count, sample count, time step and method.
-    Third-moment rows can be marked informational (e.g. when scoring a
-    second-order synthesis against third-order targets).
+    One :func:`ensemble_checks` list, built before any record is read, gives
+    every row (:func:`moment_rows`).  Third-moment rows can be marked
+    informational (e.g. when scoring a second-order synthesis against
+    third-order targets).
     """
-    if not records:
-        raise InvalidEnsembleError("need at least one record")
+    checks = ensemble_checks(moments, terms, tolerances, third_order_informational)
+    rows = moment_rows(records, checks)
     first = records[0]
-    for r in records[1:]:
-        if (
-            r.values.shape != first.values.shape
-            or r.delta_t != first.delta_t
-            or r.method != first.method
-        ):
-            raise InvalidEnsembleError(
-                "records mix shapes, time steps or methods"
-            )
-
-    tol = dict(DEFAULT_ENSEMBLE_TOLERANCES)
-    tol.update(tolerances or {})
-
-    m = first.m
-    rms = [max(terms.target_rms(a), 1e-300) for a in range(m)]
-
-    rows = []
-    for label in moments:
-        kind = label[0]
-        if kind == "mean":
-            (a,) = label[1:]
-            sim = float(np.mean([np.mean(r.values[a]) for r in records]))
-            target = terms.target_mean(a)
-            err = abs(sim - target) / rms[a]
-            tolerance = tol["mean"]
-            passed = err <= tolerance
-            info = False
-        elif kind == "second":
-            a, b = label[1:]
-            sim = float(np.mean([np.mean(r.values[a] * r.values[b]) for r in records]))
-            target = terms.target_second(a, b, 0.0)
-            err = abs(sim - target) / max(abs(target), 1e-3 * rms[a] * rms[b])
-            tolerance = tol["second"]
-            passed = err <= tolerance
-            info = False
-        elif kind == "third":
-            a, b, c = label[1:]
-            sim = float(
-                np.mean(
-                    [np.mean(r.values[a] * r.values[b] * r.values[c]) for r in records]
-                )
-            )
-            target = terms.target_third(a, b, c, 0.0, 0.0)
-            abs_err = abs(sim - target)
-            err = abs_err / max(abs(target), tol["third_abs"])
-            tolerance = tol["third_rel"]
-            passed = err <= tolerance or abs_err <= tol["third_abs"]
-            info = third_order_informational
-        else:
-            raise InvalidEnsembleError(f"unknown moment kind {kind!r}")
-        rows.append(
-            MomentRow(_format_label(label), sim, target, err, tolerance, passed, info)
-        )
-
     meta = {
         "method": first.method.value,
         "realizations": len(records),

@@ -18,13 +18,15 @@ import numpy as np
 from .config import RunConfig
 from .errors import Srm3Error
 from .estimators import (
+    MomentCheck,
     MomentReport,
     MomentRow,
-    standard_moment_labels,
-    temporal_cross_correlation,
-    temporal_mean,
-    temporal_third_moment,
+    ensemble_checks,
     ensemble_moments,
+    moment_rows,
+    standard_moment_labels,
+    term_check,
+    variates,
 )
 from .fft import Synthesizer
 from .grids import FrequencyGrid
@@ -36,9 +38,8 @@ from .wind import TABLE_SECOND_ORDER, TABLE_THIRD_ORDER, build_example_targets
 #: Temporal-closure tolerances of the ergodic verification suite.
 ERGODIC_TOLERANCES = {"mean": 1e-10, "second": 1e-8, "third": 1e-6}
 
-#: Sample lags (in time steps) at which the closures are checked.
-SECOND_ORDER_LAGS = (0, 7, 31)
-THIRD_ORDER_LAG_PAIRS = ((0, 0), (7, 3), (31, 11))
+#: Sample lags (in time steps) at which each kind of closure is checked.
+CLOSURE_LAGS = {"mean": [()], "second": [(0,), (7,), (31,)], "third": [(0, 0), (7, 3), (31, 11)]}
 
 
 def run_simulation(config: RunConfig, write_plot_data: bool = False) -> MomentReport:
@@ -112,9 +113,11 @@ def verify_ergodic_identities(
     For every seed, one realization covering exactly one fundamental period
     is synthesized and its temporal mean, second moments (three lags) and
     third moments (three lag pairs) are compared against the discrete term-set
-    targets.  If the term set has resonant frequency collisions the closure
-    rows are informational: their time averages then legitimately depend on
-    the phase draw (only the ensemble matches the targets).
+    targets.  The checks are built once, before the first seed; a mean row
+    reports the signed mean.  If the term set has resonant frequency
+    collisions the closure rows are informational: their time averages then
+    legitimately depend on the phase draw (only the ensemble matches the
+    targets).
 
     Records are sampled at ``m_f = 4N`` unless configured otherwise: discrete
     circular averages keep any combination of up to three oscillator
@@ -144,63 +147,10 @@ def verify_ergodic_identities(
     triples = terms.triple_resonances()
     informational = bool(collisions)
     third_informational = informational or triples is None or bool(triples)
-    m = grid.m
-    rms = [max(terms.target_rms(a), 1e-300) for a in range(m)]
-    dt = synth.plan.delta_t
-
+    checks = _closure_checks(terms, synth.plan.delta_t, informational, third_informational)
     rows = []
     for seed in seeds:
-        record = synth.record(seed, 0)
-
-        for a in range(m):
-            err = abs(temporal_mean(record, a)) / rms[a]
-            rows.append(
-                MomentRow(
-                    f"seed {seed}: <f{a+1}>",
-                    err * rms[a],
-                    0.0,
-                    err,
-                    ERGODIC_TOLERANCES["mean"],
-                    err <= ERGODIC_TOLERANCES["mean"],
-                )
-            )
-        for a in range(m):
-            for b in range(a, m):
-                for lag in SECOND_ORDER_LAGS:
-                    est = temporal_cross_correlation(record, a, b, lag, grid)
-                    tgt = terms.target_second(a, b, lag * dt)
-                    floor = max(abs(tgt), 1e-3 * rms[a] * rms[b])
-                    err = abs(est - tgt) / floor
-                    rows.append(
-                        MomentRow(
-                            f"seed {seed}: <f{a+1} f{b+1}> lag {lag}",
-                            est,
-                            tgt,
-                            err,
-                            ERGODIC_TOLERANCES["second"],
-                            err <= ERGODIC_TOLERANCES["second"],
-                            informational,
-                        )
-                    )
-        for a in range(m):
-            for b in range(a, m):
-                for c in range(b, m):
-                    for l1, l2 in THIRD_ORDER_LAG_PAIRS:
-                        est = temporal_third_moment(record, a, b, c, l1, l2, grid)
-                        tgt = terms.target_third(a, b, c, l1 * dt, l2 * dt)
-                        floor = max(abs(tgt), 1e-3 * rms[a] * rms[b] * rms[c])
-                        err = abs(est - tgt) / floor
-                        rows.append(
-                            MomentRow(
-                                f"seed {seed}: <f{a+1} f{b+1} f{c+1}> lags ({l1},{l2})",
-                                est,
-                                tgt,
-                                err,
-                                ERGODIC_TOLERANCES["third"],
-                                err <= ERGODIC_TOLERANCES["third"],
-                                third_informational,
-                            )
-                        )
+        rows += moment_rows([synth.record(seed, 0)], checks, f"seed {seed}: ")
 
     meta["resonant_collisions"] = len(collisions)
     meta["triple_resonances"] = None if triples is None else len(triples)
@@ -210,6 +160,21 @@ def verify_ergodic_identities(
             " single-record closures are reported informationally"
         )
     return MomentReport(tuple(rows), meta)
+
+
+def _closure_checks(terms, delta_t, informational, third_informational) -> list[MomentCheck]:
+    """Checks of every mean, and of every second and third moment at each lag."""
+    rms = [max(terms.target_rms(a), 1e-300) for a in range(terms.m)]
+    info = {"mean": False, "second": informational, "third": third_informational}
+    suffix = {"mean": "", "second": " lag {}", "third": " lags ({},{})"}
+    return [
+        term_check(
+            terms, rms, f"<{variates(fields)}>" + suffix[kind].format(*lags), fields, lags,
+            ERGODIC_TOLERANCES[kind], informational=info[kind], delta_t=delta_t,
+        )
+        for kind, *fields in standard_moment_labels(terms.m)
+        for lags in CLOSURE_LAGS[kind]
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -225,99 +190,55 @@ def run_tables(
 ) -> tuple[MomentReport, Exception | None]:
     """Reproduce the three-point wind model's published statistics.
 
-    Three parts: (a) the package's discrete targets against the published
-    target values, (b) a second-order ensemble against the published
-    second-order columns, and (c) a third-order ensemble.  Part (c) runs at
-    ``bispectrum_scale`` if given; at the published scale (``None`` / 1.0)
-    the bispectral target is unrealizable -- the interaction energy it
-    demands exceeds the prescribed spectrum at low frequency -- and the
-    infeasibility error is returned alongside the report instead of samples.
+    Three parts: (a) the package's discrete targets checked against the
+    published values, (b) a second-order ensemble, its third moments held to
+    ``|E| <= 0.1`` (the Gaussian baseline), and (c) a third-order ensemble;
+    a label prefix names the part.  Part (c) runs at ``bispectrum_scale``
+    if given; at the published scale (``None`` / 1.0) the bispectral target
+    is unrealizable -- the interaction energy it demands exceeds the
+    prescribed spectrum at low frequency -- and the infeasibility error is
+    returned alongside the report instead of samples.
     """
     from .wind import example_grid
 
     grid = example_grid()
     S, B = build_example_targets(grid)
-    rows = []
-
-    # (a) discrete targets vs published values
     plan = SamplingPlan.for_grid(grid, blocks=blocks)
     synth2 = Synthesizer(S, None, Method.SECOND_ORDER, plan)
     terms2 = synth2.terms
-    for (a, b), published in TABLE_SECOND_ORDER.items():
-        mine = terms2.target_second(a, b, 0.0)
-        err = abs(mine - published) / published
-        rows.append(
-            MomentRow(
-                f"target E[f{a+1} f{b+1}]", mine, published, err, 5e-3, err <= 5e-3
-            )
-        )
-    for (a, b, c), published in TABLE_THIRD_ORDER.items():
-        mine = zero_lag_third_target(B, a, b, c)
-        err = abs(mine - published) / published
-        rows.append(
-            MomentRow(
-                f"target E[f{a+1} f{b+1} f{c+1}]", mine, published, err, 5e-3, err <= 5e-3
-            )
-        )
+    labels = standard_moment_labels(3)
 
-    # (b) second-order ensemble vs published second-order columns
+    # (a) discrete targets vs published values
+    rows = []
+    for fields, published in TABLE_SECOND_ORDER.items():
+        check = MomentCheck(f"target E[{variates(fields)}]", fields, (0,), published, 0.0, 5e-3)
+        rows.append(check.row(terms2.target_second(*fields, 0.0)))
+    for fields, published in TABLE_THIRD_ORDER.items():
+        check = MomentCheck(f"target E[{variates(fields)}]", fields, (0, 0), published, 0.0, 5e-3)
+        rows.append(check.row(zero_lag_third_target(B, *fields)))
+
+    # (b) second-order ensemble; the Gaussian baseline's third moments are near zero
+    checks2 = ensemble_checks([label for label in labels if label[0] != "third"], terms2)
+    checks2 += [
+        MomentCheck(f"E[{variates(f)}]", tuple(f), (0, 0), 0.0, 1.0, 0.1)
+        for kind, *f in labels if kind == "third"
+    ]
     records = [synth2.record(seed, r) for r in range(realizations)]
-    report2 = ensemble_moments(
-        records,
-        standard_moment_labels(3),
-        terms2,
-        tolerances={"second": 0.02, "third_rel": 0.10, "third_abs": 0.15},
-        third_order_informational=True,
-    )
-    for row in report2.rows:
-        label = f"second-order ensemble {row.label}"
-        if row.label.count("f") == 3:
-            # third moments of the Gaussian baseline: must be near zero
-            passed = abs(row.simulated) < 0.1
-            rows.append(MomentRow(label, row.simulated, 0.0, abs(row.simulated), 0.1, passed))
-        else:
-            rows.append(
-                MomentRow(
-                    label, row.simulated, row.target, row.error, row.tolerance, row.passed
-                )
-            )
+    rows += moment_rows(records, checks2, "second-order ensemble ")
 
     # (c) third-order ensemble
     infeasible: Exception | None = None
     scale = 1.0 if bispectrum_scale is None else bispectrum_scale
     B_run = B if scale == 1.0 else CrossBispectrum(grid, B.values * scale)
+    name = f"third-order ensemble (scale {scale:g})"
     try:
         synth3 = Synthesizer(S, B_run, Method.THIRD_ORDER_MV_FFT, plan)
-        records3 = [synth3.record(seed + 1, r) for r in range(realizations)]
-        report3 = ensemble_moments(
-            records3,
-            standard_moment_labels(3),
-            synth3.terms,
-            tolerances={"second": 0.02, "third_rel": 0.10, "third_abs": 0.15 * scale},
-        )
-        for row in report3.rows:
-            rows.append(
-                MomentRow(
-                    f"third-order ensemble (scale {scale:g}) {row.label}",
-                    row.simulated,
-                    row.target,
-                    row.error,
-                    row.tolerance,
-                    row.passed,
-                )
-            )
+        checks3 = ensemble_checks(labels, synth3.terms, {"third_abs": 0.15 * scale})
+        records = [synth3.record(seed + 1, r) for r in range(realizations)]
+        rows += moment_rows(records, checks3, f"{name} ")
     except Srm3Error as exc:
         infeasible = exc
-        rows.append(
-            MomentRow(
-                f"third-order ensemble (scale {scale:g})",
-                float("nan"),
-                float("nan"),
-                float("inf"),
-                0.0,
-                False,
-            )
-        )
+        rows.append(MomentRow(name, float("nan"), float("nan"), float("inf"), 0.0, False))
 
     meta = {
         "suite": "published-tables",

@@ -274,3 +274,56 @@ def test_overflowing_split_exits_3_with_a_json_error_record(tmp_path):
     assert record["error"] == "InfeasibleBispectrumError"
     assert isinstance(record["bin_index"], int)
     assert not [n for n in os.listdir(out) if n.startswith("sample")]
+
+
+def test_tables_runs_a_scaled_third_order_ensemble(capsys):
+    code = main(["tables", "--realizations", "3", "--bispectrum-scale", "0.03"])
+    assert code in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 55 and lines[-1] in ("report: pass", "report: FAIL")
+    assert sum(" third-order ensemble (scale 0.03) E[" in line for line in lines) == 19
+
+
+@pytest.mark.parametrize(
+    "argv,problem",
+    [
+        (["--realizations", "0"], "--realizations must be at least 1"),
+        (["--realizations", "-2"], "--realizations must be in"),
+        (["--bispectrum-scale", "nan"], "--bispectrum-scale must be finite"),
+        (["--bispectrum-scale", "inf"], "--bispectrum-scale must be finite"),
+        (["--seed", "-1"], "--seed must be in"),
+    ],
+)
+def test_tables_rejects_bad_arguments_before_running(monkeypatch, capsys, argv, problem):
+    from srm3 import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_tables called")
+
+    monkeypatch.setattr(cli, "run_tables", never)
+    assert main(["tables", *argv]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value,problem",
+    [
+        ("grid.omega_u", 10**309, "field 'grid.omega_u' is beyond the float range"),
+        ("target.bispectrum_scale", -(10**400), "field 'target.bispectrum_scale' is beyond"),
+        ("tolerances", {"second": 10**309}, "field 'tolerances.second' must be a finite number"),
+    ],
+    ids=["omega_u", "bispectrum_scale", "tolerance"],
+)
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, field, value, problem):
+    config = _edited_wind_config(tmp_path, field, value)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    config = _write_wind_config(tmp_path)
+    config.write_text(config.read_text().replace('"omega_u": 2.0', '"omega_u": ' + "9" * 5000))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

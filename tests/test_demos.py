@@ -25,3 +25,4 @@ def test_demo_runs(script, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("srm3-demo-*")), "the demo left its temporary directory"
