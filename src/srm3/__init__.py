@@ -69,7 +69,7 @@ from .spectra import (
     validate_spectrum,
     zero_bispectrum,
 )
-from .terms import TermSet, build_second_order_terms, build_third_order_terms
+from .terms import TermSet, build_third_order_terms
 from .wind import (
     build_davenport_coherence,
     build_example_targets,

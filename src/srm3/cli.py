@@ -135,6 +135,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    problems = [
+        f"{flag} must be at least 1, got {value}"
+        for flag, value in (("--size", args.size), ("--variates", args.variates))
+        if value < 1
+    ]
+    if problems:
+        raise ConfigError(problems)
     result = run_bench(N=args.size, m=args.variates)
     print(
         f"N={result.N} m={result.m} samples={result.n_samples}:"

@@ -202,9 +202,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         top.problems.append("grid.m must be >= 1")
     if N is not None and N < 1:
         top.problems.append("grid.N must be >= 1")
-    if delta_omega is None and omega_u is None:
+    # by key: a value rejected above is given, not missing
+    widths = {"delta_omega", "omega_u"} & set(g.data)
+    if not widths:
         top.problems.append("grid needs delta_omega or omega_u")
-    if delta_omega is not None and omega_u is not None:
+    if len(widths) == 2:
         top.problems.append("grid.delta_omega and grid.omega_u are exclusive")
     top.problems += range_problems(seed=seed, realizations=realizations)
     top.problems += _tolerance_problems(tolerances or {})

@@ -118,6 +118,19 @@ def _factor_one(sym: np.ndarray, trace: float, k: int) -> np.ndarray:
     return _factor_stack(sym[None], np.array([trace]), [k])[0]
 
 
+def _hermitian_part(vals: np.ndarray) -> np.ndarray:
+    """``(S + S*) / 2`` per bin of ``(N, m, m)``; raises if some bin is not Hermitian."""
+    herm_err = np.abs(vals - np.conj(np.swapaxes(vals, 1, 2))).max(axis=(1, 2))
+    scale = np.maximum(np.abs(vals).max(axis=(1, 2)), 1.0)
+    bad = np.nonzero(herm_err > 1e-10 * scale)[0]
+    if bad.size:
+        raise InvalidInputError(
+            f"spectrum is not Hermitian at bin {bad[0]}"
+            f" (max asymmetry {herm_err[bad[0]]:.3e})"
+        )
+    return 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
+
+
 def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
     """Factor ``S[k] = H[k] H[k]*`` at every bin.
 
@@ -128,19 +141,8 @@ def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
     NotPositiveSemidefiniteError
         If some bin has an eigenvalue below ``-PSD_TOLERANCE * trace``.
     """
-    vals = spectrum.values
     m, N = spectrum.m, spectrum.N
-
-    herm_err = np.abs(vals - np.conj(np.swapaxes(vals, 1, 2))).max(axis=(1, 2))
-    scale = np.maximum(np.abs(vals).max(axis=(1, 2)), 1.0)
-    bad = np.nonzero(herm_err > 1e-10 * scale)[0]
-    if bad.size:
-        raise InvalidInputError(
-            f"spectrum is not Hermitian at bin {bad[0]}"
-            f" (max asymmetry {herm_err[bad[0]]:.3e})"
-        )
-
-    sym = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
+    sym = _hermitian_part(spectrum.values)
     traces = np.trace(sym, axis1=1, axis2=2).real
     H = np.zeros((N, m, m), dtype=np.complex128)
     zero_bins = traces < ZERO_TRACE
@@ -152,31 +154,27 @@ def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
     return SpectralFactor(spectrum.grid, H, zero_bins)
 
 
-def invert_factor(factor: SpectralFactor, required: np.ndarray | None = None) -> InverseFactor:
+def invert_factor(factor: SpectralFactor) -> InverseFactor:
     """Invert ``H`` per bin; empty bins stay zero and are never inverted.
-
-    With ``required`` (a bool per bin), a singular bin outside it keeps
-    ``G = 0`` instead of raising.
 
     Raises
     ------
     SingularFactorError
-        If a non-empty (required) bin has condition number beyond
+        If a non-empty bin has condition number beyond
         ``1/SINGULAR_TOLERANCE`` (smallest singular value below
         ``SINGULAR_TOLERANCE`` times largest).
     """
     G = np.zeros_like(factor.H)
     for k in np.nonzero(~factor.zero_bins)[0]:
         inverse = _inverse(factor.H[k])
-        if inverse is not None:
-            G[k] = inverse
-        elif required is None or required[k]:
+        if inverse is None:
             svals = np.linalg.svd(factor.H[k], compute_uv=False)
             raise SingularFactorError(
                 f"spectral factor is singular at bin {k}"
                 f" (singular values {svals[0]:.3e} .. {svals[-1]:.3e})",
                 bin_index=int(k),
             )
+        G[k] = inverse
     G.setflags(write=False)
     return InverseFactor(factor.grid, G, factor.zero_bins)
 

@@ -27,7 +27,7 @@ from .grids import FrequencyGrid
 from .pure import compute_pure_multivariate
 from .simulate import Method, SampleRecord
 from .spectra import CrossBispectrum, CrossSpectrum
-from .terms import TermSet, build_second_order_terms, build_third_order_terms
+from .terms import TermSet, build_third_order_terms
 
 
 class NonErgodicRecordWarning(UserWarning):
@@ -37,18 +37,17 @@ class NonErgodicRecordWarning(UserWarning):
 def build_terms(
     S: CrossSpectrum, B: CrossBispectrum | None = None, method: Method = Method.THIRD_ORDER_MV
 ) -> TermSet:
-    """Term set of a synthesis method.
+    """Term set of a synthesis method, through the pure/interaction split.
 
-    Without an interaction pair (``second``, which ignores ``B``, or ``B``
-    absent or zero) the terms come from the factor of ``S`` alone, which is
-    what the split gives then; otherwise from the pure/interaction split,
-    one for every third-order method.  ``third-uv`` needs ``m = 1``.
+    ``second`` ignores ``B``.  Without a nonzero pair (``second``, or ``B``
+    absent or zero) the split leaves ``S`` as it is, so the linear terms come
+    from the factor of ``S`` alone.  ``third-uv`` needs ``m = 1``.
     """
     if method is Method.THIRD_ORDER_UV and S.m != 1:
         raise UnsupportedConfigurationError("method 'third-uv' requires m = 1")
-    if method is Method.SECOND_ORDER or B is None or B.is_zero():
-        return build_second_order_terms(S)
-    return build_third_order_terms(compute_pure_multivariate(S, B), B)
+    if method is Method.SECOND_ORDER:
+        B = None
+    return build_third_order_terms(compute_pure_multivariate(S, B))
 
 
 def _warn_if_partial(record: SampleRecord, grid: FrequencyGrid | None):

@@ -33,48 +33,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (
-    InverseFactor,
-    SpectralFactor,
-    _factor_one,
-    _inverse,
-    factor_spectrum,
-    invert_factor,
-)
-from .errors import (
-    InfeasibleBispectrumError,
-    InvalidInputError,
-    SingularFactorError,
-    SingularPureSpectrumError,
-)
+from .decomposition import SpectralFactor, _factor_one, _hermitian_part, _inverse, factor_spectrum
+from .errors import InfeasibleBispectrumError, InvalidInputError, SingularPureSpectrumError
 from .grids import FrequencyGrid
-from .spectra import (
-    PSD_TOLERANCE,
-    ZERO_TRACE,
-    CrossBispectrum,
-    CrossSpectrum,
-)
+from .spectra import PSD_TOLERANCE, ZERO_TRACE, CrossBispectrum, CrossSpectrum
 
 
 @dataclass(frozen=True)
 class PureSpectrum:
-    """Result of the pure/interaction split, with factors ready for synthesis.
+    """Result of the pure/interaction split, ready for synthesis.
 
-    ``S_p + S_I == S`` holds exactly by construction.  ``H`` factors ``S_p``
-    at every non-empty bin; ``G = H^-1`` is populated at least at every
-    interaction source bin (bins never used by an interaction term may carry
-    ``G = 0`` if they are empty or singular).
+    ``S_p + S_I == S`` holds exactly by construction.  ``factor.H`` factors
+    ``S_p`` at every non-empty bin.  ``pairs[t] = (i, j)`` lists every
+    interaction pair with a nonzero bispectral tensor, ordered by ``(i + j, i)``,
+    and ``tensors[t, a, p, q] = sum_{l,n} conj(B[i,j][a,l,n]) G[i][p,l] G[j][q,n]``
+    with ``G = H^-1`` is the amplitude (per ``dw``) the pair puts on phase
+    channels ``(p, q)`` of variate ``a``.
     """
 
     grid: FrequencyGrid
     S_p: np.ndarray
     S_I: np.ndarray
     factor: SpectralFactor
-    inverse: InverseFactor
-    source_bins: np.ndarray  # bool, bins feeding some nonzero interaction pair
+    pairs: np.ndarray  # (n, 2) int
+    tensors: np.ndarray  # (n, m, m, m) complex
 
 
-def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpectrum:
+def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum | None = None) -> PureSpectrum:
     """Pure/interaction split of an m-variate cross-spectral matrix.
 
     The interaction energy at bin ``k`` is the Hermitian contraction
@@ -82,10 +67,13 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
     summed over source pairs, with ``W = S_p^-1`` taken from already-resolved
     bins (equal-bin pairs additionally combine their swapped channel pairs
     coherently).  At ``m = 1`` it reduces to the scalar recursion of the
-    module docstring.
+    module docstring.  ``B = None`` sets no pair: ``S_p`` is then ``S``.
 
     Raises
     ------
+    InvalidInputError
+        If some bin of ``S`` is not Hermitian, or the grids of ``S`` and
+        ``B`` differ.
     InfeasibleBispectrumError
         If ``S_p`` goes indefinite at some bin (reports the bin and deficit),
         or the correction there is not finite (reports the bin).
@@ -93,22 +81,24 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
         If an interaction pair draws from an empty or singular ``S_p`` bin.
     """
     grid = S.grid
-    if B.grid != grid:
+    if B is not None and B.grid != grid:
         raise InvalidInputError("spectrum and bispectrum grids differ")
     m, N = S.m, S.N
     dw = grid.delta_omega
 
-    # which pairs carry a nonzero tensor, and which bins they draw from
-    pair_nonzero = np.any(B.values != 0, axis=(2, 3, 4))
-    sources = np.zeros(N, dtype=bool)
-    for i in range(1, N):
-        for j in range(1, min(i, N - 1 - i) + 1):
-            if pair_nonzero[i, j] or pair_nonzero[j, i]:
-                sources[i] = sources[j] = True
-    sym = 0.5 * (S.values + np.conj(np.swapaxes(S.values, 1, 2)))
+    # which pairs carry a nonzero tensor, and which bins receive one
+    if B is None:
+        pair_nonzero = np.zeros((N, N), dtype=bool)
+    else:
+        pair_nonzero = np.any(B.values != 0, axis=(2, 3, 4))
+    receiving = np.zeros(2 * N, dtype=bool)
+    receiving[np.add(*np.nonzero(pair_nonzero))] = True
+    sym = _hermitian_part(S.values)
 
     S_p = np.array(sym, dtype=np.complex128)
     G: dict[int, np.ndarray] = {}
+    pairs: list[tuple[int, int]] = []
+    tensors: list[np.ndarray] = []
 
     def whitening_factor(b: int) -> np.ndarray:
         if b not in G:
@@ -127,7 +117,7 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
     diag = np.arange(m)
     # an overflowing correction is caught below as a non-finite bin
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, N):
+        for k in np.nonzero(receiving[:N])[0].tolist():
             corr = np.zeros((m, m), dtype=np.complex128)
             hit = False
             for j in range(1, k // 2 + 1):
@@ -144,6 +134,8 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
                     whitening_factor(i),
                     whitening_factor(j),
                 )
+                pairs.append((i, j))
+                tensors.append(T)
                 if i == j:
                     # channel pairs (p, q) and (q, p) share one phase draw pair
                     # and add coherently before squaring
@@ -174,21 +166,12 @@ def compute_pure_multivariate(S: CrossSpectrum, B: CrossBispectrum) -> PureSpect
                 )
 
     S_I = sym - S_p
-    pure = CrossSpectrum(grid, S_p)
-    factor = factor_spectrum(pure)
-    inverse = _invert_where_possible(factor, sources)
-    S_p.setflags(write=False)
-    S_I.setflags(write=False)
-    sources.setflags(write=False)
-    return PureSpectrum(grid, S_p, S_I, factor, inverse, sources)
-
-
-def _invert_where_possible(factor: SpectralFactor, sources: np.ndarray) -> InverseFactor:
-    """Invert every bin that allows it; a singular source bin is an error."""
-    try:
-        return invert_factor(factor, required=sources)
-    except SingularFactorError as exc:
-        raise SingularPureSpectrumError(
-            f"pure spectrum is singular at source bin {exc.bin_index}",
-            bin_index=exc.bin_index,
-        ) from None
+    factor = factor_spectrum(CrossSpectrum(grid, S_p))
+    # the loop meets each bin's pairs by ascending j; terms go by ascending i
+    pair_arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    order = np.lexsort((pair_arr[:, 0], pair_arr.sum(axis=1)))
+    pair_arr = pair_arr[order]
+    tensor_arr = np.array(tensors, dtype=np.complex128).reshape(-1, m, m, m)[order]
+    for arr in (S_p, S_I, pair_arr, tensor_arr):
+        arr.setflags(write=False)
+    return PureSpectrum(grid, S_p, S_I, factor, pair_arr, tensor_arr)

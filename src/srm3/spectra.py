@@ -128,9 +128,6 @@ class CrossBispectrum:
     def N(self) -> int:
         return self.grid.N
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 def zero_bispectrum(grid: FrequencyGrid) -> CrossBispectrum:
     """The all-zero bispectral target (Gaussian case) on ``grid``."""

@@ -17,8 +17,10 @@ Coefficients:
   second-order method), giving ``2 |H_ap| cos(nu t - theta_ap + phi)``;
 * interaction term ``(p, q, i, j)``:
   ``c[a] = 2 * dw * sum_{l,n} conj(B[i,j][a,l,n]) G[i][p,l] G[j][q,n]``,
-  which at ``m = 1`` is ``2 dw |B| / sqrt(S_p(i) S_p(j))`` with the biphase
-  entering the cosine as ``-beta``.
+  ``2 dw`` times the pair tensor the split contracts once
+  (``PureSpectrum.tensors``), which at ``m = 1`` is
+  ``2 dw |B| / sqrt(S_p(i) S_p(j))`` with the biphase entering the cosine
+  as ``-beta``.
 
 Because ensemble moments, single-record time averages over the fundamental
 period, and both synthesis paths are all exact functionals of this term set,
@@ -43,7 +45,6 @@ import numpy as np
 
 from .grids import FrequencyGrid
 from .pure import PureSpectrum
-from .spectra import CrossBispectrum, CrossSpectrum
 
 Key = tuple[tuple[int, int], ...]  # sorted ((channel, bin), ...), length 1 or 2
 
@@ -277,75 +278,26 @@ class TermSet:
         return float(np.sqrt(max(self.target_second(a, a, 0.0), 0.0)))
 
 
-def build_second_order_terms(S: CrossSpectrum, factor=None) -> TermSet:
-    """Linear-only term set drawing amplitudes from the factor of ``S``."""
-    from .decomposition import factor_spectrum
-
-    if factor is None:
-        factor = factor_spectrum(S)
-    return _assemble(S.grid, factor.H, None, None)
-
-
-def build_third_order_terms(pure: PureSpectrum, B: CrossBispectrum) -> TermSet:
-    """Linear terms from the pure-spectrum factor plus interaction terms."""
-    return _assemble(pure.grid, pure.factor.H, pure.inverse.G, B)
-
-
-def _assemble(
-    grid: FrequencyGrid,
-    H: np.ndarray,
-    G: np.ndarray | None,
-    B: CrossBispectrum | None,
-) -> TermSet:
+def build_third_order_terms(pure: PureSpectrum) -> TermSet:
+    """Linear terms from the pure-spectrum factor plus the split's interaction terms."""
+    grid = pure.grid
     m, N = grid.m, grid.N
     dw = grid.delta_omega
 
     lin_chan = np.tile(np.arange(m, dtype=np.intp), N)
     lin_bin = np.repeat(np.arange(N, dtype=np.intp), m)
     # c[a] for slot (p, k): 2 conj(H[k][a, p]) sqrt(dw)
-    lin_coef = 2.0 * np.sqrt(dw) * np.conj(H[lin_bin, :, lin_chan]).T
+    lin_coef = 2.0 * np.sqrt(dw) * np.conj(pure.factor.H[lin_bin, :, lin_chan]).T
     lin_coef = np.ascontiguousarray(lin_coef)
 
-    if B is None or B.is_zero():
-        empty_i = np.empty(0, dtype=np.intp)
-        return TermSet(
-            grid,
-            lin_chan,
-            lin_bin,
-            lin_coef,
-            empty_i,
-            empty_i,
-            empty_i,
-            empty_i,
-            np.empty((m, 0), dtype=np.complex128),
-        )
-
-    pair_nonzero = np.any(B.values != 0, axis=(2, 3, 4))
-    ps, qs, is_, js, coefs = [], [], [], [], []
-    chan = np.arange(m, dtype=np.intp)
-    P, Q = np.meshgrid(chan, chan, indexing="ij")
-    for i, j in grid.interaction_pairs():
-        if not pair_nonzero[i, j]:
-            continue
-        # c[a, p, q] = 2 dw sum_{l,n} conj(B[i,j][a,l,n]) G[i][p,l] G[j][q,n]
-        tensor = 2.0 * dw * np.einsum(
-            "aln,pl,qn->apq", np.conj(B.values[i, j]), G[i], G[j]
-        )
-        ps.append(P.ravel())
-        qs.append(Q.ravel())
-        is_.append(np.full(m * m, i, dtype=np.intp))
-        js.append(np.full(m * m, j, dtype=np.intp))
-        coefs.append(tensor.reshape(m, m * m))
-
-    if ps:
-        int_p = np.concatenate(ps)
-        int_q = np.concatenate(qs)
-        int_i = np.concatenate(is_)
-        int_j = np.concatenate(js)
-        int_coef = np.concatenate(coefs, axis=1)
-    else:
-        int_p = int_q = int_i = int_j = np.empty(0, dtype=np.intp)
-        int_coef = np.empty((m, 0), dtype=np.complex128)
+    # each pair's m x m channel pairs (p, q), in row-major order
+    n = len(pure.pairs)
+    int_p = np.tile(np.repeat(np.arange(m, dtype=np.intp), m), n)
+    int_q = np.tile(np.arange(m, dtype=np.intp), m * n)
+    int_i = np.repeat(pure.pairs[:, 0], m * m)
+    int_j = np.repeat(pure.pairs[:, 1], m * m)
+    # c[a, p, q] = 2 dw T[a, p, q]
+    int_coef = (2.0 * dw * pure.tensors).transpose(1, 0, 2, 3).reshape(m, n * m * m)
 
     for arr in (lin_chan, lin_bin, lin_coef, int_p, int_q, int_i, int_j, int_coef):
         arr.setflags(write=False)

@@ -9,6 +9,7 @@ which the tests assert through ``TermSet.resonant_collisions()``.
 
 import numpy as np
 
+from srm3.decomposition import factor_spectrum, invert_factor
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.spectra import CrossBispectrum, CrossSpectrum
 
@@ -46,6 +47,32 @@ def brute_force_univariate(s, b, dw):
         if s_p[k] < 0:
             return s_p, k
     return s_p, None
+
+
+def contracted_interaction_terms(pure, B):
+    """Interaction terms contracted pair by pair: ``(int_p, int_q, int_i, int_j, int_coef)``.
+
+    The oracle of the split's pair tensors.  Every pair of
+    ``grid.interaction_pairs()`` with a nonzero tensor gives the ``m x m``
+    channel pairs ``(p, q)`` with
+    ``c[a] = 2 dw sum_{l,n} conj(B[i,j][a,l,n]) G[i][p,l] G[j][q,n]``,
+    where ``G`` inverts the factor of ``S_p`` at every bin.
+    """
+    grid = pure.grid
+    m, dw = grid.m, grid.delta_omega
+    G = invert_factor(factor_spectrum(CrossSpectrum(grid, pure.S_p))).G
+    P, Q = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    ps, qs, is_, js, coefs = [], [], [], [], []
+    for i, j in grid.interaction_pairs():
+        if not np.any(B.values[i, j]):
+            continue
+        tensor = 2.0 * dw * np.einsum("aln,pl,qn->apq", np.conj(B.values[i, j]), G[i], G[j])
+        ps.append(P.ravel())
+        qs.append(Q.ravel())
+        is_.append(np.full(m * m, i))
+        js.append(np.full(m * m, j))
+        coefs.append(tensor.reshape(m, m * m))
+    return (*(np.concatenate(x) for x in (ps, qs, is_, js)), np.concatenate(coefs, axis=1))
 
 
 def collision_free_univariate(N=16, delta_omega=0.2):

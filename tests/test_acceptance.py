@@ -267,9 +267,7 @@ def test_criterion_3_second_order_third_moments_near_zero():
     seed rather than only in ensemble."""
     grid = example_grid()
     S, _ = build_example_targets(grid)
-    from srm3.terms import build_second_order_terms
-
-    assert build_second_order_terms(S).triple_resonances(limit=400) == []
+    assert build_terms(S, method=Method.SECOND_ORDER).triple_resonances(limit=400) == []
     plan = SamplingPlan.for_grid(grid)
     R = 200
     totals = np.zeros(3)

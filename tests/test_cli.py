@@ -101,6 +101,25 @@ def test_bench_reports_speedup(capsys):
     assert "speedup" in out and "N=32" in out
 
 
+@pytest.mark.parametrize(
+    "argv,problem",
+    [
+        (["--size", "0"], "--size must be at least 1, got 0"),
+        (["--size", "-3"], "--size must be at least 1, got -3"),
+        (["--variates", "0"], "--variates must be at least 1, got 0"),
+    ],
+)
+def test_bench_rejects_bad_sizes_before_running(monkeypatch, capsys, argv, problem):
+    from srm3 import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_bench called")
+
+    monkeypatch.setattr(cli, "run_bench", never)
+    assert main(["bench", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
 def _write_wind_config(tmp_path, **extra):
     data = {
         "schema_version": 1,
@@ -319,6 +338,21 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, field, value, 
     assert main(["simulate", "--config", str(config)]) == 2
     assert problem in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "value,problem",
+    [
+        (10**309, "field 'grid.omega_u' is beyond the float range"),
+        ("2.0", "field 'grid.omega_u' must be float, got str"),
+    ],
+    ids=["beyond float range", "string"],
+)
+def test_rejected_grid_width_is_the_only_problem(tmp_path, capsys, value, problem):
+    # the width is given, so no follow-up "needs delta_omega or omega_u"
+    config = _edited_wind_config(tmp_path, "grid.omega_u", value)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
 def test_integer_too_long_to_read_exits_2(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_cost_scaling_favours_fft():
 
     def runtimes(N):
         S, B = synthetic_bench_targets(N, 2)
-        terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
+        terms = build_third_order_terms(compute_pure_multivariate(S, B))
         plan = SamplingPlan.for_grid(S.grid, blocks=1)
         phases = draw_phases(0, 0, S.grid)
         direct = fft = float("inf")

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from srm3.errors import InfeasibleBispectrumError, SingularPureSpectrumError
+from srm3.errors import (
+    InfeasibleBispectrumError,
+    InvalidInputError,
+    SingularPureSpectrumError,
+)
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.pure import compute_pure_multivariate
 from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
@@ -19,9 +23,11 @@ from _targets import (
 
 def test_zero_bispectrum_keeps_spectrum():
     grid, S, _ = univariate_target(6, [1, 2, 3, 4, 5, 6], {})
-    pure = compute_pure_multivariate(S, zero_bispectrum(grid))
-    np.testing.assert_array_equal(pure.S_p, S.values)
-    assert not np.any(pure.S_I)
+    for B in (zero_bispectrum(grid), None):  # None sets no pair either
+        pure = compute_pure_multivariate(S, B)
+        np.testing.assert_array_equal(pure.S_p, S.values)
+        assert not np.any(pure.S_I)
+        assert pure.pairs.shape == (0, 2) and pure.tensors.shape == (0, 1, 1, 1)
 
 
 def test_hand_recursion_single_pair():
@@ -128,3 +134,13 @@ def test_multivariate_infeasibility_is_hard_error():
         compute_pure_multivariate(S, big)
     assert excinfo.value.bin_index is not None
     assert excinfo.value.deficit > 0
+
+
+def test_non_hermitian_spectrum_is_rejected():
+    # with or without pairs set: the split reads only the Hermitian part
+    grid, S, B = coupled_third_order()
+    skewed = S.values.copy()
+    skewed[3, 0, 1] += 0.5
+    for b in (None, B):
+        with pytest.raises(InvalidInputError, match="not Hermitian at bin 3"):
+            compute_pure_multivariate(CrossSpectrum(grid, skewed), b)

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from srm3.decomposition import factor_spectrum
 from srm3.estimators import build_terms
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.pure import compute_pure_multivariate
 from srm3.simulate import Method
 from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
-from srm3.terms import build_second_order_terms, build_third_order_terms
+from srm3.terms import build_third_order_terms
 from srm3.wind import build_example_targets, example_grid
 
 from _targets import (
@@ -18,6 +19,7 @@ from _targets import (
     coherent_gaussian,
     collision_free_diagonal,
     collision_free_univariate,
+    contracted_interaction_terms,
     coupled_third_order,
 )
 
@@ -33,7 +35,7 @@ def _oracle_pure(grid, S, B):
 def test_linear_coefficients_univariate():
     # m = 1: linear amplitude is 2 sqrt(S_p dw), real positive
     grid, S, B = collision_free_univariate()
-    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
+    terms = build_third_order_terms(compute_pure_multivariate(S, B))
     assert terms.n_linear == grid.N
     expected = 2.0 * np.sqrt(_oracle_pure(grid, S, B) * grid.delta_omega)
     np.testing.assert_allclose(terms.lin_coef[0].real, expected, atol=1e-15)
@@ -42,7 +44,7 @@ def test_linear_coefficients_univariate():
 
 def test_interaction_coefficients_univariate():
     grid, S, B = collision_free_univariate()
-    terms = build_third_order_terms(compute_pure_multivariate(S, B), B)
+    terms = build_third_order_terms(compute_pure_multivariate(S, B))
     dw = grid.delta_omega
     s_p = _oracle_pure(grid, S, B)
     # one term per stored pair; amplitude 2 |B| dw / sqrt(S_p S_p), phase -beta
@@ -57,6 +59,34 @@ def test_interaction_coefficients_univariate():
         assert coef == pytest.approx(expected, rel=1e-12)
 
 
+def _scaled_wind():
+    S, B = build_example_targets(example_grid(N=100))
+    return S, CrossBispectrum(S.grid, 0.04 * B.values)
+
+
+def _complex_s_third_order():
+    # complex cross-spectrum with a full cross-channel tensor, m = 3
+    S = coherent_gaussian(3, delta_omega=0.25)[1]
+    return S, CrossBispectrum(S.grid, coupled_third_order(m=3)[2].values)
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [_scaled_wind, lambda: coupled_third_order(m=2)[1:], _complex_s_third_order],
+    ids=["wind scale 0.04", "coupled m=2", "complex S m=3"],
+)
+def test_interaction_terms_match_pairwise_contraction(targets):
+    # the split's pair tensors are the contraction through the inverse factor
+    S, B = targets()
+    pure = compute_pure_multivariate(S, B)
+    terms = build_third_order_terms(pure)
+    p, q, i, j, coef = contracted_interaction_terms(pure, B)
+    assert terms.n_interaction == coef.shape[1] > 0
+    for got, want in zip((terms.int_p, terms.int_q, terms.int_i, terms.int_j), (p, q, i, j)):
+        np.testing.assert_array_equal(got, want)
+    assert terms.int_coef.tobytes() == coef.tobytes()
+
+
 def test_zero_bispectrum_gives_linear_only():
     grid, S, B = collision_free_univariate()
     terms = build_terms(S, zero_bispectrum(grid), Method.THIRD_ORDER_MV)
@@ -69,18 +99,23 @@ def test_zero_bispectrum_gives_linear_only():
     ids=["wind N=100", "complex S"],
 )
 def test_second_order_terms_equal_zero_bispectrum_split(targets):
-    # build_terms skips the split without an interaction pair; it must not matter
+    # `second`, a zero B and no B all set no pair: the linear terms are the
+    # factor of S itself, byte for byte
     S, _ = targets()
     zero = zero_bispectrum(S.grid)
-    split = build_third_order_terms(compute_pure_multivariate(S, zero), zero)
-    for terms in (build_terms(S, method=Method.SECOND_ORDER), build_terms(S, zero)):
+    split = build_third_order_terms(compute_pure_multivariate(S, zero))
+    H = factor_spectrum(S).H
+    dw = S.grid.delta_omega
+    factor_coef = 2.0 * np.sqrt(dw) * np.conj(H[split.lin_bin, :, split.lin_chan]).T
+    assert split.lin_coef.tobytes() == factor_coef.tobytes()
+    for terms in (build_terms(S, method=Method.SECOND_ORDER), build_terms(S, zero), build_terms(S)):
         assert terms.lin_coef.tobytes() == split.lin_coef.tobytes()
         assert terms.n_interaction == split.n_interaction == 0
 
 
 def test_second_order_terms_draw_from_full_spectrum():
-    grid, S, _ = collision_free_univariate()
-    terms = build_second_order_terms(S)
+    grid, S, B = collision_free_univariate()
+    terms = build_terms(S, B, method=Method.SECOND_ORDER)
     expected = 2.0 * np.sqrt(S.values[:, 0, 0].real * grid.delta_omega)
     np.testing.assert_allclose(terms.lin_coef[0].real, expected, atol=1e-15)
 
@@ -90,7 +125,7 @@ def test_constant_spectrum_variance_target():
     N, dw, s = 8, 0.25, 1.7
     grid = FrequencyGrid(1, N, dw, OffsetRule.UNIVARIATE_ERGODIC)
     S = CrossSpectrum(grid, np.full((N, 1, 1), s, dtype=complex))
-    terms = build_second_order_terms(S)
+    terms = build_terms(S, method=Method.SECOND_ORDER)
     assert terms.target_second(0, 0, 0.0) == pytest.approx(2 * s * N * dw, rel=1e-14)
 
 
@@ -160,15 +195,12 @@ def test_collision_detection():
 def test_triple_resonance_detection():
     # classic offsets admit zero-sum triples (e.g. channel fractions
     # 1/m + 2/m = 3/m); the suite fixtures and double-index rules do not
-    from srm3.grids import OffsetRule
-    from srm3.terms import build_second_order_terms
-
     g = FrequencyGrid(3, 12, 0.5, OffsetRule.SECOND_ORDER_CLASSIC)
     w = g.sample_frequencies
     s = np.zeros((12, 3, 3), dtype=complex)
     for a in range(3):
         s[:, a, a] = 1.0 / (1 + w)
-    terms = build_second_order_terms(CrossSpectrum(g, s))
+    terms = build_terms(CrossSpectrum(g, s), method=Method.SECOND_ORDER)
     assert terms.resonant_collisions() == []
     assert terms.triple_resonances()  # e.g. (l=1,k) + (l=2,k') = (l=3,k'')
 
@@ -245,7 +277,7 @@ def _classic_second_order():
     s = np.zeros((12, 3, 3), dtype=complex)
     for a in range(3):
         s[:, a, a] = 1.0 / (1 + g.sample_frequencies)
-    return build_second_order_terms(CrossSpectrum(g, s))
+    return build_terms(CrossSpectrum(g, s), method=Method.SECOND_ORDER)
 
 
 @pytest.mark.parametrize(
