@@ -13,12 +13,11 @@ from srm3 import (
     CrossBispectrum,
     CrossSpectrum,
     FrequencyGrid,
+    Method,
     OffsetRule,
     SamplingPlan,
-    build_terms,
+    Synthesizer,
     compute_pure_multivariate,
-    draw_phases,
-    simulate_3rd_order_uv,
     temporal_cross_correlation,
     temporal_mean,
     temporal_third_moment,
@@ -50,12 +49,13 @@ plan = SamplingPlan.for_grid(grid, m_f=4 * N)
 print(f"\nfundamental period: {grid.fundamental_period:.3f} s "
       f"({plan.n_samples} samples at dt = {plan.delta_t:.4f} s)")
 
+synth = Synthesizer(S, B, Method.THIRD_ORDER_UV, plan)  # compile once, draw any seed
 seed = 2024
-record = simulate_3rd_order_uv(S, B, draw_phases(seed, 0, grid), plan)
+record = synth.record(seed, 0)
 print(f"record rms: {record.rms(0):.4f}")
 
 # --- single-record closure against the discrete targets ---------------
-terms = build_terms(S, B)
+terms = synth.terms
 assert terms.resonant_collisions() == []
 dt = plan.delta_t
 

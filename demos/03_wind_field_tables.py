@@ -16,16 +16,14 @@ import numpy as np
 from srm3 import (
     CrossBispectrum,
     InfeasibleBispectrumError,
+    Method,
     SamplingPlan,
+    Synthesizer,
     build_example_targets,
     build_terms,
     compute_pure_multivariate,
-    draw_phases,
     example_grid,
-    simulate_2nd_order_mv,
-    simulate_3rd_order_mv_fft,
 )
-from srm3.simulate import Method
 from srm3.wind import TABLE_SECOND_ORDER, TABLE_THIRD_ORDER
 from srm3.workbench import zero_lag_third_target
 
@@ -47,10 +45,10 @@ for (a, b, c), published in TABLE_THIRD_ORDER.items():
 
 # --- Gaussian ensemble vs the second-moment table ----------------------
 R = 50
-plan = SamplingPlan.for_grid(grid, blocks=4)
+synth2 = Synthesizer(S, None, Method.SECOND_ORDER, SamplingPlan.for_grid(grid, blocks=4))
 acc = np.zeros((3, 3))
 for r in range(R):
-    rec = simulate_2nd_order_mv(S, draw_phases(0, r, grid), plan)
+    rec = synth2.record(0, r)
     acc += rec.values @ rec.values.T / rec.n_samples
 acc /= R
 print(f"\nsecond-order ensemble ({R} realizations): E[f_a^2] =",
@@ -67,11 +65,11 @@ except InfeasibleBispectrumError as exc:
 # --- a realizable scaled variant ----------------------------------------
 scale = 0.04
 small = CrossBispectrum(grid, B.values * scale)
-terms3 = build_terms(S, small)
-plan = SamplingPlan.for_grid(grid)  # full fundamental period
+synth3 = Synthesizer(S, small, Method.THIRD_ORDER_MV_FFT)  # full fundamental period
+terms3 = synth3.terms
 third = np.zeros(3)
 for r in range(20):
-    rec = simulate_3rd_order_mv_fft(S, small, draw_phases(1, r, grid), plan)
+    rec = synth3.record(1, r)
     third += [np.mean(rec.values[a] ** 3) for a in range(3)]
 third /= 20
 targets = [terms3.target_third(a, a, a, 0.0, 0.0) for a in range(3)]

@@ -9,12 +9,7 @@ compiled :class:`Synthesizer` per run produces every record through the
 offset-channel FFT; direct cosine summation is kept as its oracle.
 """
 
-from .decomposition import (
-    InverseFactor,
-    SpectralFactor,
-    factor_spectrum,
-    invert_factor,
-)
+from .decomposition import SpectralFactor, factor_spectrum
 from .errors import (
     CoefficientOverflowError,
     ConfigError,
@@ -25,7 +20,6 @@ from .errors import (
     NotPositiveSemidefiniteError,
     SampleCorruptionError,
     SampleFormatError,
-    SingularFactorError,
     SingularPureSpectrumError,
     Srm3Error,
     UnsupportedConfigurationError,
@@ -41,25 +35,10 @@ from .estimators import (
     temporal_mean,
     temporal_third_moment,
 )
-from .fft import (
-    OffsetChannelCoefficients,
-    Synthesizer,
-    assemble_coefficients,
-    simulate_3rd_order_mv_fft,
-    synthesize_fft,
-)
+from .fft import OffsetChannelCoefficients, Synthesizer, assemble_coefficients, synthesize_fft
 from .grids import FrequencyGrid, OffsetRule
 from .pure import PureSpectrum, compute_pure_multivariate
-from .simulate import (
-    Method,
-    PhaseSet,
-    SampleRecord,
-    SamplingPlan,
-    draw_phases,
-    simulate_2nd_order_mv,
-    simulate_3rd_order_mv,
-    simulate_3rd_order_uv,
-)
+from .simulate import Method, PhaseSet, SampleRecord, SamplingPlan, draw_phases
 from .spectra import (
     CrossBispectrum,
     CrossSpectrum,
@@ -70,12 +49,7 @@ from .spectra import (
     zero_bispectrum,
 )
 from .terms import TermSet, build_third_order_terms
-from .wind import (
-    build_davenport_coherence,
-    build_example_targets,
-    build_kaimal_psd,
-    example_grid,
-)
+from .wind import build_example_targets, example_grid
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Per-bin factorization of cross-spectral matrices and its inverse.
+"""Per-bin factorization of cross-spectral matrices.
 
 Each Hermitian PSD matrix ``S[k]`` is factored as ``S = H H*`` through its
 eigendecomposition ``S = Phi Sigma Phi*`` with ``H = Phi sqrt(Sigma)``.  The
@@ -7,10 +7,11 @@ rank-deficient matrices; the factor is made deterministic by a fixed
 eigenvalue ordering and eigenvector sign convention, so identical inputs give
 bit-identical factors.
 
-``G[k] = H[k]^-1`` supplies the whitening factors used by the quadratic
-interaction terms.  Bins with (numerically) zero trace carry ``H = 0``; they
-hold no energy, are excluded from inversion, and synthesis treats their
-contribution as zero.
+Bins with (numerically) zero trace carry ``H = 0``: they hold no energy and
+synthesis treats their contribution as zero.  The pure/interaction split
+(:mod:`srm3.pure`) inverts the factor of each source bin it needs, ``G[k] =
+H[k]^-1``, to whiten the quadratic interaction terms; :func:`_inverse`
+refuses a bin singular to ``SINGULAR_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NotPositiveSemidefiniteError,
-    SingularFactorError,
-)
+from .errors import InvalidInputError, NotPositiveSemidefiniteError
 from .grids import FrequencyGrid
 from .spectra import PSD_TOLERANCE, ZERO_TRACE, CrossSpectrum
 
@@ -38,15 +35,6 @@ class SpectralFactor:
     grid: FrequencyGrid
     H: np.ndarray
     zero_bins: np.ndarray  # bool, bins with no energy (H = 0)
-
-
-@dataclass(frozen=True)
-class InverseFactor:
-    """Per-bin inverse ``G = H^-1`` (zero on empty bins)."""
-
-    grid: FrequencyGrid
-    G: np.ndarray
-    zero_bins: np.ndarray
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
@@ -152,31 +140,6 @@ def factor_spectrum(spectrum: CrossSpectrum) -> SpectralFactor:
     H.setflags(write=False)
     zero_bins.setflags(write=False)
     return SpectralFactor(spectrum.grid, H, zero_bins)
-
-
-def invert_factor(factor: SpectralFactor) -> InverseFactor:
-    """Invert ``H`` per bin; empty bins stay zero and are never inverted.
-
-    Raises
-    ------
-    SingularFactorError
-        If a non-empty bin has condition number beyond
-        ``1/SINGULAR_TOLERANCE`` (smallest singular value below
-        ``SINGULAR_TOLERANCE`` times largest).
-    """
-    G = np.zeros_like(factor.H)
-    for k in np.nonzero(~factor.zero_bins)[0]:
-        inverse = _inverse(factor.H[k])
-        if inverse is None:
-            svals = np.linalg.svd(factor.H[k], compute_uv=False)
-            raise SingularFactorError(
-                f"spectral factor is singular at bin {k}"
-                f" (singular values {svals[0]:.3e} .. {svals[-1]:.3e})",
-                bin_index=int(k),
-            )
-        G[k] = inverse
-    G.setflags(write=False)
-    return InverseFactor(factor.grid, G, factor.zero_bins)
 
 
 def _inverse(Hk: np.ndarray) -> np.ndarray | None:

@@ -26,14 +26,6 @@ class NotPositiveSemidefiniteError(InvalidInputError):
         self.eigenvalue = eigenvalue
 
 
-class SingularFactorError(Srm3Error):
-    """A spectral factor is singular at some bin and cannot be inverted."""
-
-    def __init__(self, msg, bin_index=None):
-        super().__init__(msg)
-        self.bin_index = bin_index
-
-
 class InfeasibleBispectrumError(Srm3Error):
     """The bispectrum demands more interaction energy than the spectrum holds.
 

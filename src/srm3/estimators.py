@@ -16,6 +16,7 @@ the verification suite checks.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -218,10 +219,13 @@ class MomentCheck:
 
         The error is the miss ``|simulated - target|`` over
         ``max(|target|, floor)``; the row passes when the error is within
-        ``tolerance`` or the miss within ``abs_tolerance``.
+        ``tolerance`` or the miss within ``abs_tolerance``.  Where that
+        denominator is zero (a zero process), the error is zero for an exact
+        hit and infinite otherwise.
         """
         miss = abs(simulated - self.target)
-        error = miss / max(abs(self.target), self.floor)
+        scale = max(abs(self.target), self.floor)
+        error = miss / scale if scale > 0 else (0.0 if miss == 0 else math.inf)
         passed = error <= self.tolerance or miss <= self.abs_tolerance
         return MomentRow(
             prefix + self.label, simulated, self.target, error, self.tolerance, passed,

@@ -37,18 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CoefficientOverflowError
+from .errors import CoefficientOverflowError, UnsupportedConfigurationError
 from .estimators import build_terms
 from .grids import FrequencyGrid
-from .simulate import (
-    Method,
-    PhaseSet,
-    SampleRecord,
-    SamplingPlan,
-    _check_grid,
-    _draw_one,
-    draw_phases,
-)
+from .simulate import Method, PhaseSet, SampleRecord, SamplingPlan, draw_phases
 from .spectra import CrossBispectrum, CrossSpectrum
 from .terms import TermSet
 
@@ -169,7 +161,8 @@ class Synthesizer:
 
     def draw(self, phases: PhaseSet) -> SampleRecord:
         """The record of one phase draw."""
-        _check_grid(self.grid, phases)
+        if phases.grid != self.grid:
+            raise UnsupportedConfigurationError("phase set was drawn for a different grid")
         C = self.channels.deposit(phases.phi)
         return SampleRecord(
             _expand(C, self._inner, self._mix, self.plan),
@@ -250,12 +243,3 @@ def synthesize_fft(
     residues = np.array([int(ch.offset * Q) for ch in channels])
     return _expand(C, *_rotations(residues, Q, plan.m_f, plan.blocks), plan)
 
-
-def simulate_3rd_order_mv_fft(
-    S: CrossSpectrum,
-    B: CrossBispectrum,
-    phases: PhaseSet,
-    plan: SamplingPlan | None = None,
-) -> SampleRecord:
-    """m-variate third-order synthesis through the offset-channel FFT path."""
-    return _draw_one(S, B, Method.THIRD_ORDER_MV_FFT, phases, plan)

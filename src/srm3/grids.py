@@ -96,10 +96,6 @@ class FrequencyGrid:
             return tuple(Fraction(l, m) for l in range(1, m + 1))
         raise InvalidParameterError(f"unknown offset rule {self.offset_rule!r}")
 
-    def frequency_index(self, channel: int, k: int) -> Fraction:
-        """Exact frequency of oscillator ``(channel, k)`` in units of delta_omega."""
-        return k + self.channel_offsets[channel]
-
     @cached_property
     def oscillator_frequencies(self) -> np.ndarray:
         """Float frequencies, shape ``(m, N)``: ``(k + offset_l) * delta_omega``."""

@@ -4,10 +4,10 @@ Phases come from a counter-based generator keyed by ``(seed,
 realization_index)``, so any realization of any ensemble can be regenerated
 in isolation, in any order, on any machine, without consuming a shared
 stream.  Synthesis itself is a pure function of (targets, phases, sampling
-plan).  Every method runs through the compiled offset-channel FFT path
-(:class:`srm3.fft.Synthesizer`); the ``simulate_*`` functions here compile
-it for a single record.  :func:`synthesize_direct` evaluates the cosine sum
-term by term and is kept as the equivalence oracle of that path.
+plan).  Every method runs through one compiled offset-channel FFT path,
+:class:`srm3.fft.Synthesizer`, built once per run and drawn from once per
+record.  :func:`synthesize_direct` evaluates the cosine sum term by term and
+is kept as the equivalence oracle of that path.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedConfigurationError
+from .errors import InvalidParameterError
 from .grids import FrequencyGrid
-from .spectra import CrossBispectrum, CrossSpectrum
 from .terms import TermSet
 
 TWO_PI = 2.0 * math.pi
@@ -121,10 +120,6 @@ class SamplingPlan:
         delta_t = TWO_PI / (m_f * grid.delta_omega)
         return cls(delta_t, blocks * m_f, m_f, blocks)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.delta_t
-
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.delta_t
 
@@ -203,48 +198,3 @@ def synthesize_direct(terms: TermSet, phases: PhaseSet, plan: SamplingPlan) -> n
             for a in range(m):
                 out[a, lo : lo + t.size] += (z[a, :, None] * osc).real.sum(axis=0)
     return out
-
-
-def _draw_one(S, B, method: Method, phases: PhaseSet, plan: SamplingPlan | None) -> SampleRecord:
-    """Compile a synthesizer for one record and draw it."""
-    from .fft import Synthesizer  # the compiled path builds on this module
-
-    return Synthesizer(S, B, method, plan).draw(phases)
-
-
-def simulate_2nd_order_mv(
-    S: CrossSpectrum, phases: PhaseSet, plan: SamplingPlan | None = None
-) -> SampleRecord:
-    """Second-order (Gaussian) synthesis from the cross-spectral target alone.
-
-    Conventionally run on a ``SECOND_ORDER_CLASSIC`` grid; any offset rule is
-    accepted, which lets the degenerate third-order comparisons share a grid.
-    """
-    return _draw_one(S, None, Method.SECOND_ORDER, phases, plan)
-
-
-def simulate_3rd_order_uv(
-    S: CrossSpectrum,
-    B: CrossBispectrum,
-    phases: PhaseSet,
-    plan: SamplingPlan | None = None,
-) -> SampleRecord:
-    """One-variate third-order synthesis (the pure-spectrum split at ``m = 1``)."""
-    return _draw_one(S, B, Method.THIRD_ORDER_UV, phases, plan)
-
-
-def simulate_3rd_order_mv(
-    S: CrossSpectrum,
-    B: CrossBispectrum,
-    phases: PhaseSet,
-    plan: SamplingPlan | None = None,
-) -> SampleRecord:
-    """m-variate third-order synthesis (pure-spectrum split)."""
-    return _draw_one(S, B, Method.THIRD_ORDER_MV, phases, plan)
-
-
-def _check_grid(grid: FrequencyGrid, phases: PhaseSet):
-    if phases.grid != grid:
-        raise UnsupportedConfigurationError(
-            "phase set was drawn for a different grid"
-        )

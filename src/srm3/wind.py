@@ -1,10 +1,9 @@
 """Turbulent-wind demonstration targets at three heights of a vertical profile.
 
-Provides the parametric single-point spectrum and two-point coherence used in
-boundary-layer wind engineering, plus a fixed three-variate numeric model
-(heights 35 m, 40 m, 140 m) whose published ensemble statistics this package
-reproduces; see :data:`TABLE_SECOND_ORDER` and :data:`TABLE_THIRD_ORDER` for
-those reference values.
+A fixed three-variate numeric model (heights 35 m, 40 m, 140 m) whose
+published ensemble statistics this package reproduces; see
+:data:`TABLE_SECOND_ORDER` and :data:`TABLE_THIRD_ORDER` for those reference
+values, and :func:`build_example_targets` for the targets on a grid.
 
 The numeric model's closed forms all decay algebraically or exponentially in
 frequency (or frequency sum), and every tabulated target is attached to its
@@ -14,61 +13,14 @@ reference statistics are discrete sums over exactly that sampling.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 from .grids import FrequencyGrid
 from .spectra import CrossBispectrum, CrossSpectrum
 
-TWO_PI = 2.0 * math.pi
-
 #: Heights above ground of the three profile points, in meters.
 HEIGHTS = (35.0, 40.0, 140.0)
-
-
-def build_kaimal_psd(z: float, u_star: float, U_of_z: float, omega) -> np.ndarray:
-    """Parametric along-wind turbulence spectrum at height ``z``.
-
-    ``S(z, w) = (1/2)(200/2pi) u*^2 (z/U) [1 + 50 w z / (2 pi U)]^(-5/2)``,
-    strictly positive and strictly decreasing in frequency.
-
-    Parameters are the height ``z`` (m), shear velocity ``u_star`` (m/s) and
-    mean wind speed ``U_of_z`` (m/s) at that height; ``omega`` is the circular
-    frequency (rad/s), scalar or array, nonnegative.
-    """
-    if not z > 0:
-        raise InvalidParameterError(f"height must be > 0, got {z}")
-    if not u_star > 0:
-        raise InvalidParameterError(f"shear velocity must be > 0, got {u_star}")
-    if not U_of_z > 0:
-        raise InvalidParameterError(f"mean wind speed must be > 0, got {U_of_z}")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise InvalidParameterError("frequency must be >= 0")
-    base = 0.5 * (200.0 / TWO_PI) * u_star**2 * (z / U_of_z)
-    return base / (1.0 + 50.0 * omega * z / (TWO_PI * U_of_z)) ** 2.5
-
-
-def build_davenport_coherence(
-    z1: float, z2: float, U1: float, U2: float, omega, C_z: float = 10.0
-) -> np.ndarray:
-    """Exponential-decay coherence between heights ``z1`` and ``z2``.
-
-    ``gamma = exp[-(w/2pi) C_z |z1 - z2| / ((U1 + U2)/2)]``, in (0, 1].
-    """
-    if not (z1 > 0 and z2 > 0):
-        raise InvalidParameterError("heights must be > 0")
-    if not (U1 > 0 and U2 > 0):
-        raise InvalidParameterError("mean wind speeds must be > 0")
-    omega = np.asarray(omega, dtype=float)
-    return np.exp(-omega / TWO_PI * C_z * abs(z1 - z2) / (0.5 * (U1 + U2)))
-
-
-# ----------------------------------------------------------------------
-# numeric three-point model
-# ----------------------------------------------------------------------
 
 #: Algebraic-decay coefficients of the three single-point spectra.
 PSD_AMPLITUDE = (38.3, 43.3, 135.0)

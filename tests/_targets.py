@@ -9,9 +9,14 @@ which the tests assert through ``TermSet.resonant_collisions()``.
 
 import numpy as np
 
-from srm3.decomposition import factor_spectrum, invert_factor
+from srm3.decomposition import factor_spectrum
 from srm3.grids import FrequencyGrid, OffsetRule
 from srm3.spectra import CrossBispectrum, CrossSpectrum
+
+
+def frequency_index(grid, channel, k):
+    """Exact frequency of oscillator ``(channel, k)`` in units of delta_omega."""
+    return k + grid.channel_offsets[channel]
 
 
 def univariate_grid(N=16, delta_omega=0.2):
@@ -56,11 +61,14 @@ def contracted_interaction_terms(pure, B):
     ``grid.interaction_pairs()`` with a nonzero tensor gives the ``m x m``
     channel pairs ``(p, q)`` with
     ``c[a] = 2 dw sum_{l,n} conj(B[i,j][a,l,n]) G[i][p,l] G[j][q,n]``,
-    where ``G`` inverts the factor of ``S_p`` at every bin.
+    where ``G`` inverts the factor of ``S_p`` at every non-empty bin.
     """
     grid = pure.grid
     m, dw = grid.m, grid.delta_omega
-    G = invert_factor(factor_spectrum(CrossSpectrum(grid, pure.S_p))).G
+    factor = factor_spectrum(CrossSpectrum(grid, pure.S_p))
+    G = np.zeros_like(factor.H)
+    live = ~factor.zero_bins
+    G[live] = np.linalg.inv(factor.H[live])
     P, Q = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     ps, qs, is_, js, coefs = [], [], [], [], []
     for i, j in grid.interaction_pairs():

@@ -34,22 +34,9 @@ from srm3.estimators import (
     temporal_mean,
     temporal_third_moment,
 )
-from srm3.fft import (
-    Synthesizer,
-    assemble_coefficients,
-    simulate_3rd_order_mv_fft,
-    synthesize_fft,
-)
+from srm3.fft import Synthesizer, assemble_coefficients, synthesize_fft
 from srm3.pure import compute_pure_multivariate
-from srm3.simulate import (
-    Method,
-    SamplingPlan,
-    draw_phases,
-    simulate_2nd_order_mv,
-    simulate_3rd_order_mv,
-    simulate_3rd_order_uv,
-    synthesize_direct,
-)
+from srm3.simulate import Method, SamplingPlan, draw_phases, synthesize_direct
 from srm3.spectra import CrossBispectrum, zero_bispectrum
 from srm3.wind import (
     TABLE_SECOND_ORDER,
@@ -96,23 +83,20 @@ def test_criterion_1_ergodic_identities(name, maker, method):
     """Single-record time averages over one fundamental period equal the
     discrete targets for every seed, at tight tolerances."""
     grid, S, B = maker()
-    terms = build_terms(S, B, method)
-    assert terms.resonant_collisions() == [], "suite targets must be collision-free"
-    assert terms.triple_resonances() == [], "suite targets must be collision-free"
     # m_f = 4N: no sum of up to three oscillator frequencies can reach the
     # FFT block length, so discrete circular averages are exact time averages
     plan = SamplingPlan.for_grid(grid, m_f=4 * grid.N)
+    synth = Synthesizer(S, B, method, plan)
+    terms = synth.terms
+    assert terms.resonant_collisions() == [], "suite targets must be collision-free"
+    assert terms.triple_resonances() == [], "suite targets must be collision-free"
     dt = plan.delta_t
     m = grid.m
     rms = [terms.target_rms(a) for a in range(m)]
 
     worst_mean = worst_second = worst_third = 0.0
     for seed in SEEDS:
-        phases = draw_phases(seed, 0, grid)
-        if method is Method.THIRD_ORDER_UV:
-            rec = simulate_3rd_order_uv(S, B, phases, plan)
-        else:
-            rec = simulate_3rd_order_mv(S, B, phases, plan)
+        rec = synth.record(seed, 0)
         for a in range(m):
             worst_mean = max(worst_mean, abs(temporal_mean(rec, a)) / rms[a])
         for a in range(m):
@@ -166,8 +150,9 @@ def test_criterion_2b_ensemble_at_published_amplitude():
     grid = example_grid()
     S, B = build_example_targets(grid)
     try:
+        synth = Synthesizer(S, B, Method.THIRD_ORDER_MV_FFT)
         for r in range(200):
-            simulate_3rd_order_mv_fft(S, B, draw_phases(0, r, grid))
+            synth.record(0, r)
     except InfeasibleBispectrumError as exc:
         _report(
             "2",
@@ -186,11 +171,11 @@ def test_criterion_2c_second_order_ensemble_matches_second_moment_table():
     """The Gaussian part of the criterion: 200 realizations, table within 2%."""
     grid = example_grid()
     S, _ = build_example_targets(grid)
-    plan = SamplingPlan.for_grid(grid, blocks=4)
+    synth = Synthesizer(S, None, Method.SECOND_ORDER, SamplingPlan.for_grid(grid, blocks=4))
     sums = np.zeros((3, 3))
     R = 200
     for r in range(R):
-        rec = simulate_2nd_order_mv(S, draw_phases(12, r, grid), plan)
+        rec = synth.record(12, r)
         sums += rec.values @ rec.values.T / rec.n_samples
     est = sums / R
     worst = 0.0
@@ -267,13 +252,13 @@ def test_criterion_3_second_order_third_moments_near_zero():
     seed rather than only in ensemble."""
     grid = example_grid()
     S, _ = build_example_targets(grid)
-    assert build_terms(S, method=Method.SECOND_ORDER).triple_resonances(limit=400) == []
-    plan = SamplingPlan.for_grid(grid)
+    synth = Synthesizer(S, None, Method.SECOND_ORDER)
+    assert synth.terms.triple_resonances(limit=400) == []
     R = 200
     totals = np.zeros(3)
     worst_single = 0.0
     for r in range(R):
-        rec = simulate_2nd_order_mv(S, draw_phases(7, r, grid), plan)
+        rec = synth.record(7, r)
         vals = np.array([float(np.mean(rec.values[a] ** 3)) for a in range(3)])
         totals += vals
         worst_single = max(worst_single, np.abs(vals).max())
@@ -338,15 +323,15 @@ def test_criterion_5_reductions():
     mv_pure = compute_pure_multivariate(S, B)
     pure_gap = float(np.abs(oracle - mv_pure.S_p[:, 0, 0]).max())
 
-    uv = simulate_3rd_order_uv(S, B, phases, plan)
-    mv = simulate_3rd_order_mv(S, B, phases, plan)
+    uv = Synthesizer(S, B, Method.THIRD_ORDER_UV, plan).draw(phases)
+    mv = Synthesizer(S, B, Method.THIRD_ORDER_MV, plan).draw(phases)
     path_gap = float(np.abs(uv.values - mv.values).max() / uv.rms(0))
 
     g2, S2, _ = coherent_gaussian(3, N=12)
     phases2 = draw_phases(4, 0, g2)
     plan2 = SamplingPlan.for_grid(g2)
-    degenerate = simulate_3rd_order_mv(S2, zero_bispectrum(g2), phases2, plan2)
-    second = simulate_2nd_order_mv(S2, phases2, plan2)
+    degenerate = Synthesizer(S2, zero_bispectrum(g2), Method.THIRD_ORDER_MV, plan2).draw(phases2)
+    second = Synthesizer(S2, None, Method.SECOND_ORDER, plan2).draw(phases2)
     collapse_gap = float(
         np.abs(degenerate.values - second.values).max()
         / max(second.rms(a) for a in range(3))

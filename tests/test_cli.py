@@ -277,6 +277,30 @@ def test_duplicate_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_ZERO_ROWS = "0,0,0\n1,0,0\n2,0,0\n3,0,0\n"
+
+
+def test_all_zero_spectrum_simulates_the_zero_process(tmp_path, capsys):
+    # every target and floor is zero: each row's error is 0, not a division by zero
+    config = _write_table_config(tmp_path, _ZERO_ROWS)
+    assert main(["simulate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] and all(row["error"] == 0.0 for row in report["rows"])
+    assert not read_samples(str(out / "sample_0000.srm3")).values.any()
+    assert capsys.readouterr().err == ""
+
+
+def test_all_zero_spectrum_verifies(tmp_path, capsys):
+    # verify prints its report and writes no file
+    config = _write_table_config(tmp_path, _ZERO_ROWS)
+    assert main(["verify", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.rstrip().endswith("report: pass")
+    assert captured.err == ""
+    assert not (tmp_path / "out" / "error.json").exists()
+
+
 def test_overflowing_split_exits_3_with_a_json_error_record(tmp_path):
     # the scaled B is finite, but the split's products overflow
     config = _edited_wind_config(tmp_path, "target.bispectrum_scale", 1e300)

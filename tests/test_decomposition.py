@@ -1,18 +1,19 @@
-"""Per-bin factorization and inversion."""
+"""Per-bin factorization, and the inverse the pure split takes of it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srm3.decomposition import factor_spectrum, invert_factor
+from srm3.decomposition import _inverse, factor_spectrum
 from srm3.errors import (
     InvalidInputError,
     NotPositiveSemidefiniteError,
-    SingularFactorError,
+    SingularPureSpectrumError,
 )
 from srm3.grids import FrequencyGrid
-from srm3.spectra import CrossSpectrum
+from srm3.pure import compute_pure_multivariate
+from srm3.spectra import CrossBispectrum, CrossSpectrum
 
 from _targets import coherent_gaussian
 
@@ -91,31 +92,35 @@ def test_zero_trace_bins_skipped():
     vals[1] = np.eye(2)
     factor = factor_spectrum(_spectrum(vals))
     assert factor.zero_bins.tolist() == [True, False, True]
-    inverse = invert_factor(factor)
-    np.testing.assert_array_equal(inverse.G[0], 0)
-    np.testing.assert_allclose(inverse.G[1], np.eye(2), atol=1e-14)
+    np.testing.assert_array_equal(factor.H[[0, 2]], 0)
+    np.testing.assert_allclose(_inverse(factor.H[1]), np.eye(2), atol=1e-14)
 
 
 def test_inverse_trivials_and_multiply_back():
     S = _spectrum([np.diag([4.0, 9.0])])
-    inverse = invert_factor(factor_spectrum(S))
-    np.testing.assert_allclose(inverse.G[0], np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
+    G = _inverse(factor_spectrum(S).H[0])
+    np.testing.assert_allclose(G, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     _, S, _ = coherent_gaussian(3, N=10)
     factor = factor_spectrum(S)
-    inverse = invert_factor(factor)
     for k in range(S.N):
-        err = np.linalg.norm(inverse.G[k] @ factor.H[k] - np.eye(3))
+        err = np.linalg.norm(_inverse(factor.H[k]) @ factor.H[k] - np.eye(3))
         assert err < 1e-10
 
 
 def test_singular_factor_names_bin():
-    vals = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    # the split inverts a source bin's factor: a rank-one bin 1 feeding the
+    # pair (2, 1) is refused by name
+    vals = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
     vals[1] = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-    factor = factor_spectrum(_spectrum(vals))
-    with pytest.raises(SingularFactorError) as excinfo:
-        invert_factor(factor)
+    S = _spectrum(vals)
+    assert _inverse(factor_spectrum(S).H[1]) is None
+    b = np.zeros((4, 4, 2, 2, 2), dtype=complex)
+    b[2, 1] = b[1, 2] = 0.1
+    with pytest.raises(SingularPureSpectrumError) as excinfo:
+        compute_pure_multivariate(S, CrossBispectrum(S.grid, b))
     assert excinfo.value.bin_index == 1
+    assert "singular" in str(excinfo.value)
 
 
 def test_univariate_reduction():
@@ -123,9 +128,9 @@ def test_univariate_reduction():
     S = _spectrum(vals)
     factor = factor_spectrum(S)
     np.testing.assert_allclose(factor.H[:, 0, 0], [2.0, 0.5])
-    inverse = invert_factor(factor)
-    np.testing.assert_allclose(inverse.G[:, 0, 0], [0.5, 2.0])
-    assert np.all(np.angle(factor.H) == 0) and np.all(np.angle(inverse.G) == 0)
+    G = np.array([_inverse(H) for H in factor.H])
+    np.testing.assert_allclose(G[:, 0, 0], [0.5, 2.0])
+    assert np.all(np.angle(factor.H) == 0) and np.all(np.angle(G) == 0)
 
 
 @settings(max_examples=30, deadline=None)

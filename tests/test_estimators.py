@@ -1,6 +1,7 @@
 """Temporal/ensemble estimators, discrete targets, and reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +20,8 @@ from srm3.estimators import (
     temporal_mean,
     temporal_third_moment,
 )
-from srm3.simulate import (
-    Method,
-    SampleRecord,
-    SamplingPlan,
-    draw_phases,
-    simulate_3rd_order_mv,
-    simulate_3rd_order_uv,
-)
+from srm3.fft import Synthesizer
+from srm3.simulate import Method, SampleRecord, SamplingPlan
 
 from _targets import collision_free_diagonal, collision_free_univariate
 
@@ -62,7 +57,7 @@ def test_third_moment_of_pure_cosine_vanishes():
 def test_partial_record_warns():
     grid, S, B = collision_free_univariate()
     plan = SamplingPlan.for_grid(grid, blocks=1)  # one base block, not a period
-    rec = simulate_3rd_order_uv(S, B, draw_phases(0, 0, grid), plan)
+    rec = Synthesizer(S, B, Method.THIRD_ORDER_UV, plan).record(0, 0)
     with pytest.warns(NonErgodicRecordWarning):
         temporal_cross_correlation(rec, 0, 0, 0, grid)
 
@@ -70,7 +65,7 @@ def test_partial_record_warns():
 def test_estimator_symmetry_relabeling():
     # <f_a f_b(t+t1) f_c(t+t2)> is the same sum as <f_a f_c(t+t2) f_b(t+t1)>
     grid, S, B = collision_free_diagonal(2)
-    rec = simulate_3rd_order_mv(S, B, draw_phases(5, 0, grid))
+    rec = Synthesizer(S, B, Method.THIRD_ORDER_MV).record(5, 0)
     one = temporal_third_moment(rec, 0, 0, 1, 3, 11, grid)
     other = temporal_third_moment(rec, 0, 1, 0, 11, 3, grid)
     assert one == pytest.approx(other, rel=1e-10, abs=1e-14)
@@ -79,23 +74,13 @@ def test_estimator_symmetry_relabeling():
 def test_ensemble_convergence_rate():
     # standard error of the variance estimate shrinks with ensemble size
     grid, S, B = collision_free_diagonal(2)
-    plan = SamplingPlan.for_grid(grid, blocks=1)
-    terms = build_terms(S, B, Method.THIRD_ORDER_MV)
-    target = terms.target_second(0, 0, 0.0)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV, SamplingPlan.for_grid(grid, blocks=1))
 
     def spread(R, chunks=12):
         # dispersion of independent R-realization estimates
         estimates = []
         for chunk in range(chunks):
-            vals = [
-                np.mean(
-                    simulate_3rd_order_mv(
-                        S, B, draw_phases(1000 + chunk, r, grid), plan
-                    ).values[0]
-                    ** 2
-                )
-                for r in range(R)
-            ]
+            vals = [np.mean(synth.record(1000 + chunk, r).values[0] ** 2) for r in range(R)]
             estimates.append(np.mean(vals))
         return np.std(estimates)
 
@@ -107,11 +92,9 @@ def test_ensemble_convergence_rate():
 
 def test_ensemble_report_rows_and_serialization():
     grid, S, B = collision_free_diagonal(2)
-    plan = SamplingPlan.for_grid(grid, blocks=2)
-    records = [
-        simulate_3rd_order_mv(S, B, draw_phases(7, r, grid), plan) for r in range(40)
-    ]
-    terms = build_terms(S, B, Method.THIRD_ORDER_MV)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV, SamplingPlan.for_grid(grid, blocks=2))
+    records = [synth.record(7, r) for r in range(40)]
+    terms = synth.terms
     labels = standard_moment_labels(2)
     report = ensemble_moments(
         records, labels, terms, tolerances={"second": 0.2, "third_rel": 1.0}
@@ -125,13 +108,12 @@ def test_ensemble_report_rows_and_serialization():
 
 def test_ensemble_rejects_mixed_records():
     grid, S, B = collision_free_diagonal(2)
-    plan1 = SamplingPlan.for_grid(grid, blocks=1)
-    plan2 = SamplingPlan.for_grid(grid, blocks=2)
-    terms = build_terms(S, B, Method.THIRD_ORDER_MV)
-    records = [
-        simulate_3rd_order_mv(S, B, draw_phases(0, 0, grid), plan1),
-        simulate_3rd_order_mv(S, B, draw_phases(0, 1, grid), plan2),
+    synths = [
+        Synthesizer(S, B, Method.THIRD_ORDER_MV, SamplingPlan.for_grid(grid, blocks=blocks))
+        for blocks in (1, 2)
     ]
+    terms = synths[0].terms
+    records = [synths[0].record(0, 0), synths[1].record(0, 1)]
     with pytest.raises(InvalidEnsembleError):
         ensemble_moments(records, [("mean", 0)], terms)
     with pytest.raises(InvalidEnsembleError):
@@ -140,11 +122,9 @@ def test_ensemble_rejects_mixed_records():
 
 def test_informational_rows_do_not_fail_report():
     grid, S, B = collision_free_diagonal(2)
-    plan = SamplingPlan.for_grid(grid, blocks=1)
-    records = [
-        simulate_3rd_order_mv(S, B, draw_phases(3, r, grid), plan) for r in range(5)
-    ]
-    terms = build_terms(S, B, Method.THIRD_ORDER_MV)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV, SamplingPlan.for_grid(grid, blocks=1))
+    records = [synth.record(3, r) for r in range(5)]
+    terms = synth.terms
     report = ensemble_moments(
         records,
         [("third", 0, 0, 0)],
@@ -189,6 +169,14 @@ def test_row_rule_on_hand_values():
     for check in (mean, second, third):
         error, passed = _row(check, float("nan"))
         assert np.isnan(error) and passed is False
+
+
+def test_row_rule_with_a_zero_denominator():
+    # a zero process: target and floor are both zero
+    zero = MomentCheck("s", (0, 0), (0,), 0.0, 0.0, 0.02)
+    assert _row(zero, 0.0) == (0.0, True)
+    assert _row(zero, 1e-30) == (math.inf, False)
+    assert _row(MomentCheck("t", (0, 0, 0), (0, 0), 0.0, 0.0, 0.1, 1e-6), 1e-9) == (math.inf, True)
 
 
 def test_row_carries_label_prefix_target_and_flags():

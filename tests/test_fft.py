@@ -12,9 +12,9 @@ from srm3.errors import CoefficientOverflowError
 from srm3.estimators import build_terms
 from srm3.fft import (
     OffsetChannels,
+    Synthesizer,
     _rotations,
     assemble_coefficients,
-    simulate_3rd_order_mv_fft,
     synthesize_fft,
 )
 from srm3.grids import FrequencyGrid, OffsetRule
@@ -33,6 +33,7 @@ from _targets import (
     collision_free_univariate,
     coherent_gaussian,
     coupled_third_order,
+    frequency_index,
 )
 
 
@@ -121,10 +122,10 @@ def test_fft_equals_direct(maker, seed):
 
 def test_fft_record_wrapper_matches_direct_simulator():
     grid, S, B = collision_free_diagonal(2)
-    phases = draw_phases(11, 4, grid)
     plan = SamplingPlan.for_grid(grid, blocks=3)
-    direct = synthesize_direct(build_terms(S, B, Method.THIRD_ORDER_MV), phases, plan)
-    fast = simulate_3rd_order_mv_fft(S, B, phases, plan)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV_FFT, plan)
+    fast = synth.record(11, 4)
+    direct = synthesize_direct(synth.terms, draw_phases(11, 4, grid), plan)
     rms = np.sqrt(np.mean(direct**2, axis=1)).max()
     assert np.abs(direct - fast.values).max() <= 1e-8 * rms
     assert fast.method is Method.THIRD_ORDER_MV_FFT
@@ -172,7 +173,7 @@ def test_block_continuation_joins_smoothly():
     phi = phases.phi
 
     def nu(*slots):  # exact oscillator frequency of a (channel, bin) multiset
-        return float(sum(grid.frequency_index(int(p), int(k)) for p, k in slots)) * grid.delta_omega
+        return float(sum(frequency_index(grid, int(p), int(k)) for p, k in slots)) * grid.delta_omega
 
     direct_value = 0.0
     for tt in range(terms.n_linear):
@@ -241,7 +242,7 @@ def test_integer_layout_matches_fraction_oracle(case):
         ((int(p), int(i)), (int(q), int(j)))
         for p, q, i, j in zip(terms.int_p, terms.int_q, terms.int_i, terms.int_j)
     ]
-    exact = [sum(grid.frequency_index(c, k) for c, k in s) for s in slots]
+    exact = [sum(frequency_index(grid, c, k) for c, k in s) for s in slots]
     assert terms.freq.tolist() == [f * Q for f in exact]  # int == Fraction only if integral
 
     frac = [f - math.floor(f) for f in exact]

@@ -1,4 +1,4 @@
-"""Phase draws, sampling plans, and the direct-summation simulators."""
+"""Phase draws, sampling plans, and records drawn through the compiled synthesizer."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from srm3.errors import InvalidParameterError, UnsupportedConfigurationError
 from srm3.estimators import temporal_cross_correlation, temporal_mean
+from srm3.fft import Synthesizer
 from srm3.grids import FrequencyGrid, OffsetRule
-from srm3.simulate import (
-    Method,
-    SamplingPlan,
-    draw_phases,
-    simulate_2nd_order_mv,
-    simulate_3rd_order_mv,
-    simulate_3rd_order_uv,
-)
+from srm3.simulate import Method, PhaseSet, SamplingPlan, draw_phases
 from srm3.spectra import CrossBispectrum, CrossSpectrum, zero_bispectrum
 
 from _targets import collision_free_diagonal, collision_free_univariate, coherent_gaussian
@@ -78,11 +72,9 @@ def test_single_bin_record_is_pure_cosine():
     s = np.zeros((N, 1, 1), dtype=complex)
     s[0] = c
     S = CrossSpectrum(g, s)
-    from srm3.simulate import PhaseSet
-
     phases = PhaseSet(g, np.zeros((1, N)), seed=0, realization_index=0)
     plan = SamplingPlan.for_grid(g, blocks=1)
-    rec = simulate_2nd_order_mv(S, phases, plan)
+    rec = Synthesizer(S, None, Method.SECOND_ORDER, plan).draw(phases)
     w0 = g.oscillator_frequencies[0, 0]
     expected = 2 * np.sqrt(c * dw) * np.cos(w0 * plan.times())
     np.testing.assert_allclose(rec.values[0], expected, atol=1e-12)
@@ -91,7 +83,7 @@ def test_single_bin_record_is_pure_cosine():
 def test_record_metadata():
     grid, S, B = collision_free_univariate()
     plan = SamplingPlan.for_grid(grid)
-    rec = simulate_3rd_order_uv(S, B, draw_phases(5, 2, grid), plan)
+    rec = Synthesizer(S, B, Method.THIRD_ORDER_UV, plan).record(5, 2)
     assert rec.method is Method.THIRD_ORDER_UV
     assert (rec.seed, rec.realization_index) == (5, 2)
     assert rec.n_samples * rec.delta_t == pytest.approx(grid.fundamental_period)
@@ -101,32 +93,38 @@ def test_record_metadata():
 def test_uv_requires_single_variate():
     grid, S, B = collision_free_diagonal(2)
     with pytest.raises(UnsupportedConfigurationError):
-        simulate_3rd_order_uv(S, B, draw_phases(0, 0, grid))
+        Synthesizer(S, B, Method.THIRD_ORDER_UV)
 
 
 def test_mismatched_phase_grid_rejected():
     grid, S, B = collision_free_univariate()
     other = FrequencyGrid(1, 8, 0.2, OffsetRule.UNIVARIATE_ERGODIC)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_UV)
     with pytest.raises(UnsupportedConfigurationError):
-        simulate_3rd_order_uv(S, B, draw_phases(0, 0, other))
+        synth.draw(draw_phases(0, 0, other))
+
+
+@pytest.fixture(scope="module")
+def uv_synth():
+    _, S, B = collision_free_univariate()
+    return Synthesizer(S, B, Method.THIRD_ORDER_UV)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**63 - 1))
-def test_ergodic_mean_any_seed(seed):
-    grid, S, B = collision_free_univariate()
-    rec = simulate_3rd_order_uv(S, B, draw_phases(seed, 0, grid))
+@given(seed=st.integers(0, 2**63 - 1))
+def test_ergodic_mean_any_seed(uv_synth, seed):
+    rec = uv_synth.record(seed, 0)
     assert abs(temporal_mean(rec, 0)) < 1e-10 * rec.rms(0)
 
 
 def test_second_order_ensemble_variance():
     # 500 realizations: sample variance within 5 percent of 2 sum(S) dw
     grid, S, _ = coherent_gaussian(2, N=12, rule=OffsetRule.SECOND_ORDER_CLASSIC)
-    plan = SamplingPlan.for_grid(grid, blocks=grid.period_blocks)
+    synth = Synthesizer(S, None, Method.SECOND_ORDER)  # one full period per record
     total = np.zeros(2)
     R = 500
     for r in range(R):
-        rec = simulate_2nd_order_mv(S, draw_phases(31, r, grid), plan)
+        rec = synth.record(31, r)
         total += np.mean(rec.values**2, axis=1)
     estimate = total / R
     target = 2 * np.sum(S.values[:, (0, 1), (0, 1)].real, axis=0) * grid.delta_omega
@@ -137,8 +135,8 @@ def test_third_order_collapses_to_second_on_zero_bispectrum():
     grid, S, _ = coherent_gaussian(3, N=10)
     phases = draw_phases(8, 0, grid)
     plan = SamplingPlan.for_grid(grid, blocks=2)
-    second = simulate_2nd_order_mv(S, phases, plan)
-    third = simulate_3rd_order_mv(S, zero_bispectrum(grid), phases, plan)
+    second = Synthesizer(S, None, Method.SECOND_ORDER, plan).draw(phases)
+    third = Synthesizer(S, zero_bispectrum(grid), Method.THIRD_ORDER_MV, plan).draw(phases)
     scale = max(second.rms(a) for a in range(3))
     assert np.abs(third.values - second.values).max() <= 1e-12 * scale
 
@@ -152,8 +150,8 @@ def test_univariate_and_multivariate_paths_agree():
     ):
         phases = draw_phases(seed, 0, grid)
         plan = SamplingPlan.for_grid(grid)
-        uv = simulate_3rd_order_uv(S, B, phases, plan)
-        mv = simulate_3rd_order_mv(S, B, phases, plan)
+        uv = Synthesizer(S, B, Method.THIRD_ORDER_UV, plan).draw(phases)
+        mv = Synthesizer(S, B, Method.THIRD_ORDER_MV, plan).draw(phases)
         assert uv.values.tobytes() == mv.values.tobytes()
 
 
@@ -165,8 +163,8 @@ def test_scaling_property():
     B3 = CrossBispectrum(grid, B.values * c**3)
     phases = draw_phases(77, 0, grid)
     plan = SamplingPlan.for_grid(grid, blocks=1)
-    base = simulate_3rd_order_mv(S, B, phases, plan)
-    scaled = simulate_3rd_order_mv(S2, B3, phases, plan)
+    base = Synthesizer(S, B, Method.THIRD_ORDER_MV, plan).draw(phases)
+    scaled = Synthesizer(S2, B3, Method.THIRD_ORDER_MV, plan).draw(phases)
     scale = max(base.rms(a) for a in range(2))
     assert np.abs(scaled.values - c * base.values).max() <= 1e-10 * c * scale
 
@@ -180,10 +178,9 @@ def test_phase_shift_invariance_of_temporal_moments():
     base_phases = draw_phases(3, 0, grid)
     shifted = np.array(base_phases.phi)
     shifted[1] = (shifted[1] + 1.2345) % (2 * np.pi)
-    from srm3.simulate import PhaseSet
-
-    rec0 = simulate_3rd_order_mv(S, B, base_phases, plan)
-    rec1 = simulate_3rd_order_mv(S, B, PhaseSet(grid, shifted, 3, 0), plan)
+    synth = Synthesizer(S, B, Method.THIRD_ORDER_MV, plan)
+    rec0 = synth.draw(base_phases)
+    rec1 = synth.draw(PhaseSet(grid, shifted, 3, 0))
     for a in range(2):
         r0 = temporal_cross_correlation(rec0, a, a, 7, grid)
         r1 = temporal_cross_correlation(rec1, a, a, 7, grid)

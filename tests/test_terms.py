@@ -21,6 +21,7 @@ from _targets import (
     collision_free_univariate,
     contracted_interaction_terms,
     coupled_third_order,
+    frequency_index,
 )
 
 
@@ -228,8 +229,8 @@ def test_term_frequencies_are_exact_rationals():
 def _int_frequency(terms, t):
     """Exact frequency of interaction term ``t`` from the grid's own offsets."""
     g = terms.grid
-    return g.frequency_index(int(terms.int_p[t]), int(terms.int_i[t])) + g.frequency_index(
-        int(terms.int_q[t]), int(terms.int_j[t])
+    return frequency_index(g, int(terms.int_p[t]), int(terms.int_i[t])) + frequency_index(
+        g, int(terms.int_q[t]), int(terms.int_j[t])
     )
 
 
@@ -239,7 +240,7 @@ def _oracle_groups(terms):
     groups = {}
     for t in range(terms.n_linear):
         p, k = int(terms.lin_chan[t]), int(terms.lin_bin[t])
-        groups[((p, k),)] = (g.frequency_index(p, k), terms.lin_coef[:, t].copy())
+        groups[((p, k),)] = (frequency_index(g, p, k), terms.lin_coef[:, t].copy())
     for t in range(terms.n_interaction):
         u = (int(terms.int_p[t]), int(terms.int_i[t]))
         v = (int(terms.int_q[t]), int(terms.int_j[t]))

@@ -13,62 +13,12 @@ from srm3.spectra import validate_bispectrum, validate_spectrum
 from srm3.wind import (
     TABLE_SECOND_ORDER,
     TABLE_THIRD_ORDER,
-    build_davenport_coherence,
     build_example_targets,
-    build_kaimal_psd,
     example_coherence,
     example_grid,
     example_psd,
 )
 from srm3.workbench import zero_lag_third_target
-
-
-def test_kaimal_value_at_zero_frequency():
-    z, u_star, U = 35.0, 1.76, 45.0
-    expected = 0.5 * (200.0 / (2 * math.pi)) * u_star**2 * z / U
-    assert build_kaimal_psd(z, u_star, U, 0.0) == pytest.approx(expected)
-
-
-def test_kaimal_decays_to_zero():
-    assert build_kaimal_psd(35.0, 1.76, 45.0, 1e9) < 1e-12
-
-
-def test_kaimal_strictly_decreasing_on_fine_grid():
-    w = np.linspace(0.0, 4.0, 1000)
-    vals = build_kaimal_psd(40.0, 1.5, 30.0, w)
-    assert np.all(np.diff(vals) < 0)
-    assert np.all(vals > 0)
-
-
-def test_kaimal_parameter_validation():
-    for bad in [(-1, 1, 1), (1, 0, 1), (1, 1, -2)]:
-        with pytest.raises(Exception):
-            build_kaimal_psd(*bad, omega=1.0)
-    with pytest.raises(Exception):
-        build_kaimal_psd(35.0, 1.76, 45.0, -0.5)
-
-
-def test_kaimal_against_numeric_fit():
-    """The parametric form matches the numeric model exactly at w = 0; the
-    frequency decay differs (exponent 5/2 vs 5/3) and the gap is reported."""
-    # parameters solving 0.5*(200/2pi) u*^2 z/U = 38.3 and 50 z/(2pi U) = 6.19
-    z = 35.0
-    U = 50.0 * z / (2 * math.pi * 6.19)
-    u_star2 = 38.3 / (0.5 * (200.0 / (2 * math.pi)) * z / U)
-    w = np.linspace(0.0, 2.0, 101)
-    parametric = build_kaimal_psd(z, math.sqrt(u_star2), U, w)
-    numeric = example_psd(0, w)
-    assert parametric[0] == pytest.approx(numeric[0], rel=1e-12)
-    rel = np.abs(parametric - numeric) / numeric
-    print(f"parametric-vs-numeric spectrum: max relative gap {rel.max():.3f}")
-    assert rel.max() > 0.1  # the two closed forms genuinely differ off w = 0
-
-
-def test_davenport_coherence_in_unit_interval():
-    w = np.linspace(0.0, 5.0, 200)
-    coh = build_davenport_coherence(35.0, 140.0, 40.0, 50.0, w)
-    assert np.all(coh > 0) and np.all(coh <= 1.0)
-    assert coh[0] == 1.0
 
 
 def test_numeric_model_reference_values():
